@@ -41,6 +41,7 @@ from .matrix import (
     matmul,
     matrix_power,
     matvec,
+    tile_plan,
 )
 from .semiring import (
     INFINITY,
@@ -108,6 +109,7 @@ __all__ = [
     "run_benchmark",
     "saturation_seen",
     "tadd",
+    "tile_plan",
     "tmul",
     "verify_apsp",
 ]

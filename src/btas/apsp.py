@@ -20,6 +20,7 @@ from .matrix import (
     SemiringMismatch,
     TileSpec,
     TropicalMatrix,
+    _saturate,
     identity_matrix,
     matmul,
 )
@@ -104,23 +105,14 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
     finite = d[np.isfinite(d)]
     max_abs = float(np.max(np.abs(finite))) if finite.size else 0.0
     # relaxation candidates are sums of two at-most-(n+1)-edge path weights
-    if 2.0 * (n + 1) * max_abs < limit:
+    screen_tripped = 2.0 * (n + 1) * max_abs >= limit
+    cand = np.empty_like(d)
+    with np.errstate(over="ignore"):
         for k in range(n):
-            np.minimum(d, np.add.outer(d[:, k], d[k, :]), out=d)
-    else:
-        saturated = False
-        for k in range(n):
-            with np.errstate(over="ignore"):
-                cand = np.add.outer(d[:, k], d[k, :])
-            bad = np.isinf(cand) if math.isinf(limit) else np.abs(cand) >= limit
-            bad &= np.isfinite(d[:, k])[:, None]
-            bad &= np.isfinite(d[k, :])[None, :]
-            if bad.any():
-                cand[bad] = math.inf
-                saturated = True
+            np.add.outer(d[:, k], d[k, :], out=cand)
+            if screen_tripped and _saturate(cand, d[:, k, None], d[None, k, :], limit, math.inf):
+                _note_saturation()
             np.minimum(d, cand, out=d)
-        if saturated:
-            _note_saturation()
 
     negative_cycle = bool((np.diagonal(d) < 0.0).any())
     d.flags.writeable = False
@@ -185,8 +177,6 @@ def find_apsp_violation(adj: TropicalMatrix, result: DistanceMatrix) -> "str | N
     triangle inequality, and the closure fixpoint dist = dist ⊗ (I ⊕ adj).
     """
     n = _require_square_minplus(adj)
-    if result.dist.kind is not SemiringKind.MIN_PLUS:
-        raise SemiringMismatchForApsp("verification needs min-plus matrices")
     if result.dist.shape != adj.shape:
         raise DimensionMismatch(f"result shape {result.dist.shape} does not match adjacency {adj.shape}")
 

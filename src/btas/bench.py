@@ -21,7 +21,7 @@ import numpy as np
 
 from .apsp import apsp_by_squaring, floyd_warshall
 from .graph_io import RANDOM_FAMILY, graph_to_matrix, random_graph
-from .matrix import TileSpec, matmul
+from .matrix import TileSpec, matmul, tile_plan
 
 CSV_HEADER = "algorithm,n,worker_count,repetitions,median_seconds,min_seconds,max_seconds,seed"
 
@@ -156,12 +156,6 @@ def instance_seed(seed: int, n: int) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def bench_tiles(n: int, worker_count: int) -> TileSpec:
-    """Row strips sized for about four tasks per worker."""
-    strip = max(1, math.ceil(n / (4 * worker_count)))
-    return TileSpec(tile_rows=strip, tile_cols=n, worker_count=worker_count)
-
-
 def _make_runner(algorithm: BenchAlgorithm, adj, tiles: TileSpec):
     if algorithm is BenchAlgorithm.FLOYD_WARSHALL:
         return lambda: floyd_warshall(adj).distances.dist
@@ -185,7 +179,7 @@ def run_benchmark(config: BenchConfig) -> "list[BenchRecord]":
                 try:
                     graph = random_graph(n, config.edge_probability, config.weight_range, cell_seed)
                     adj = graph_to_matrix(graph)
-                    runner = _make_runner(algorithm, adj, bench_tiles(n, worker_count))
+                    runner = _make_runner(algorithm, adj, tile_plan(n, n, worker_count))
                     result = runner()  # warm-up, untimed
                     digest = hashlib.sha256(result.tobytes()).hexdigest()
                     times = []

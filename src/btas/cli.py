@@ -28,9 +28,9 @@ from .graph_io import (
 from .matrix import (
     DimensionMismatch,
     SemiringMismatch,
-    TileSpec,
     TropicalMatrix,
     available_parallelism,
+    tile_plan,
 )
 
 EXIT_OK = 0
@@ -84,10 +84,7 @@ def _load_adjacency(text: str, fmt: str, sentinel: SentinelConvention) -> Tropic
 def _solve(adj: TropicalMatrix, algorithm: str, workers: "int | None"):
     if algorithm == Algorithm.FLOYD_WARSHALL.value:
         return floyd_warshall(adj)
-    tiles = None
-    if workers is not None:
-        base = TileSpec.default()
-        tiles = TileSpec(base.tile_rows, base.tile_cols, workers)
+    tiles = None if workers is None else tile_plan(adj.n_rows, adj.n_cols, workers)
     return apsp_by_squaring(adj, tiles=tiles)
 
 

@@ -14,6 +14,7 @@ are normalized to Infinity on ingestion and never guessed.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,9 @@ from .semiring import SemiringKind, format_weight, parse_weight
 
 #: Generator family used by random_graph, recorded in benchmark metadata.
 RANDOM_FAMILY = "numpy-pcg64"
+
+#: Dense n x n float64 matrices a solve holds at once: A, I ⊕ A and two powers.
+_SOLVE_DENSE_COPIES = 4
 
 
 class ParseError(ValueError):
@@ -108,6 +112,9 @@ def _parse_int(token: str, what: str, line_no: int) -> int:
 def parse_edge_list(text: str) -> Graph:
     """Read `n m` followed by m `src dst weight` lines.
 
+    A header whose n would make the dense working set of a solve larger
+    than physical memory is refused before anything n-sized is allocated.
+
     Self-loops with non-negative weight are dropped (self-distance is 0 by
     definition); negative self-loops are kept, they are negative cycles.
     """
@@ -123,6 +130,17 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"vertex count must be positive, got {n}", header_no)
     if m < 0:
         raise ParseError(f"edge count cannot be negative, got {m}", header_no)
+    dense_bytes = _SOLVE_DENSE_COPIES * 8 * n * n
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # platform without these sysconf names
+        memory = None
+    if memory is not None and dense_bytes > memory:
+        raise ParseError(
+            f"{n} vertices need {dense_bytes / 2**30:.1f} GiB as dense {n}x{n} float64 matrices,"
+            f" more than the {memory / 2**30:.1f} GiB of physical memory",
+            header_no,
+        )
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"header promises {m} edges but file has {len(body)} edge lines", header_no)

@@ -6,11 +6,11 @@ symbolic Infinity becomes +inf under min-plus and -inf under max-plus, so
 public boundary (constructors, accessors, text formats) speaks only the
 symbolic form where Infinity is ``math.inf`` for both kinds.
 
-Determinism contract: matmul partitions the output index space into tiles
-and reduces each entry over the full k range; the k dimension is never
-split, entries carry no NaN and no -0.0, and min/max of such floats is
-order-independent, so results are bit-identical for every TileSpec and
-worker count.
+Determinism contract: entries carry no NaN and no -0.0, so min and max of
+them are exactly associative and commutative.  Any grouping of the k terms
+of a product therefore gives the same bits, and matmul is bit-identical for
+every tile shape, k-block size and worker count.  By default a product runs
+as row strips from tile_plan, with about four strips per available CPU.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ def available_parallelism() -> int:
 
 @dataclass(frozen=True, slots=True)
 class TileSpec:
-    """Output-tile partitioning for parallel matmul.
+    """Output-tile partitioning for parallel matmul; tile_plan makes the default.
 
-    Mirrors a GPU-style grid: each task owns one tile_rows x tile_cols block
-    of the *output* and reduces over all of k itself.  Splitting k is not
-    expressible here on purpose; that is what keeps reductions deterministic.
+    Each task owns one tile_rows x tile_cols block of the *output* and folds
+    the k terms into it block by block; min/max associativity makes the
+    result independent of the tiles, the k blocks and the worker count.
     """
 
     tile_rows: int
@@ -66,9 +66,11 @@ class TileSpec:
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{field} must be a positive integer, got {v!r}")
 
-    @classmethod
-    def default(cls) -> "TileSpec":
-        return cls(tile_rows=8, tile_cols=8, worker_count=available_parallelism())
+
+def tile_plan(n_rows: int, n_cols: int, worker_count: int) -> TileSpec:
+    """Full-width row strips sized for about four tasks per worker."""
+    strip = max(1, math.ceil(n_rows / (4 * worker_count)))
+    return TileSpec(tile_rows=strip, tile_cols=n_cols, worker_count=worker_count)
 
 
 def _oriented_infinity(kind: SemiringKind) -> float:
@@ -281,17 +283,21 @@ def ew_add(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
 # saves; run tiles inline on the calling thread instead.
 _PARALLEL_MIN_OPS = 1 << 16
 
-_pools: "dict[int, ThreadPoolExecutor]" = {}
-_pools_lock = threading.Lock()
+# Bytes of the k-block temporary one task reuses; bounds a task's memory
+# unless a single k slice of its tile is larger.
+_TASK_BYTES = 1 << 20
+
+_pool: "ThreadPoolExecutor | None" = None
+_pool_lock = threading.Lock()
 
 
-def _pool_for(worker_count: int) -> ThreadPoolExecutor:
-    with _pools_lock:
-        pool = _pools.get(worker_count)
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=worker_count, thread_name_prefix="btas-tile")
-            _pools[worker_count] = pool
-        return pool
+def _shared_pool() -> ThreadPoolExecutor:
+    """One process-wide pool, one thread per available CPU, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=available_parallelism(), thread_name_prefix="btas-tile")
+        return _pool
 
 
 def _saturation_limit(x: TropicalMatrix, y: TropicalMatrix, integer: bool) -> "float | None":
@@ -307,43 +313,22 @@ def _saturation_limit(x: TropicalMatrix, y: TropicalMatrix, integer: bool) -> "f
     for operand in (x, y):
         finite = operand.data[np.isfinite(operand.data)]
         bound += float(np.max(np.abs(finite))) if finite.size else 0.0
-    if integer:
-        return limit if bound >= limit else None
-    return limit if math.isinf(bound) else None
+    return limit if bound >= limit else None
 
 
-def _product_tile(
-    xd: np.ndarray,
-    yd: np.ndarray,
-    accd: "np.ndarray | None",
-    out: np.ndarray,
-    r0: int,
-    r1: int,
-    c0: int,
-    c1: int,
-    combine: np.ufunc,
-    eps: float,
-    sat_limit: "float | None",
-) -> bool:
-    """Fill out[r0:r1, c0:c1] with the ⊕-reduction over k; report saturation."""
-    xs = xd[r0:r1, :, None]
-    ys = yd[None, :, c0:c1]
-    with np.errstate(over="ignore"):
-        block = xs + ys
-    saturated = False
-    if sat_limit is not None:
-        bad = np.isinf(block) if math.isinf(sat_limit) else np.abs(block) >= sat_limit
-        if bad.any():
-            # only finite+finite overflow saturates; inf operands are legit ε
-            bad &= np.isfinite(xs)
-            bad &= np.isfinite(ys)
-            if bad.any():
-                block[bad] = eps
-                saturated = True
-    combine.reduce(block, axis=1, out=out[r0:r1, c0:c1])
-    if accd is not None:
-        combine(out[r0:r1, c0:c1], accd[r0:r1, c0:c1], out=out[r0:r1, c0:c1])
-    return saturated
+def _saturate(block: np.ndarray, xs: np.ndarray, ys: np.ndarray, limit: float, eps: float) -> bool:
+    """Replace each sum xs + ys in block whose magnitude reached limit by eps.
+
+    Only finite+finite sums saturate; a sum with an infinite operand is a
+    legitimate ε and stays.  Returns whether anything was replaced.
+    """
+    bad = np.isinf(block) if math.isinf(limit) else np.abs(block) >= limit
+    bad &= np.isfinite(xs)
+    bad &= np.isfinite(ys)
+    if not bad.any():
+        return False
+    block[bad] = eps
+    return True
 
 
 def matmul(
@@ -355,7 +340,8 @@ def matmul(
     """Tropical matrix product, optionally fused with an elementwise ⊕.
 
     out(i,j) = ⊕ over k of x(i,k) ⊗ y(k,j), then ⊕ accumulate_into(i,j)
-    when given.  accumulate_into is read, never written.
+    when given.  accumulate_into is read, never written.  tiles defaults
+    to tile_plan over the available CPUs.
     """
     _check_same_kind(x, y)
     if x.n_cols != y.n_rows:
@@ -370,13 +356,15 @@ def matmul(
             )
         integer = integer and accumulate_into.integer
         accd = accumulate_into.data
-    spec = tiles if tiles is not None else TileSpec.default()
 
     nr, nc, nk = x.n_rows, y.n_cols, x.n_cols
+    spec = tiles if tiles is not None else tile_plan(nr, nc, available_parallelism())
     out = np.empty((nr, nc), dtype=np.float64)
     combine = _combine_ufunc(x.kind)
     eps = _oriented_infinity(x.kind)
     sat_limit = _saturation_limit(x, y, integer)
+    rows, cols = min(spec.tile_rows, nr), min(spec.tile_cols, nc)
+    kb = min(nk, max(1, _TASK_BYTES // (8 * rows * cols)))
 
     spans = [
         (r0, min(r0 + spec.tile_rows, nr), c0, min(c0 + spec.tile_cols, nc))
@@ -384,44 +372,53 @@ def matmul(
         for c0 in range(0, nc, spec.tile_cols)
     ]
 
-    def run(span):
-        r0, r1, c0, c1 = span
-        return _product_tile(x.data, y.data, accd, out, r0, r1, c0, c1, combine, eps, sat_limit)
+    def run(share: "list[tuple[int, int, int, int]]") -> bool:
+        """Fill each tile in share, folding k in blocks of kb; report saturation.
+
+        One block buffer and one reduce buffer serve every tile of the share.
+        """
+        block_buf = np.empty(rows * kb * cols)
+        reduce_buf = np.empty(rows * cols) if kb < nk else None
+        saturated = False
+        for r0, r1, c0, c1 in share:
+            tile = out[r0:r1, c0:c1]
+            for k0 in range(0, nk, kb):
+                k1 = min(k0 + kb, nk)
+                xs = x.data[r0:r1, k0:k1, None]
+                ys = y.data[None, k0:k1, c0:c1]
+                block = block_buf[: (r1 - r0) * (k1 - k0) * (c1 - c0)].reshape(r1 - r0, k1 - k0, c1 - c0)
+                with np.errstate(over="ignore"):
+                    np.add(xs, ys, out=block)
+                if sat_limit is not None and _saturate(block, xs, ys, sat_limit, eps):
+                    saturated = True
+                part = tile if k0 == 0 else reduce_buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+                combine.reduce(block, axis=1, out=part)
+                if k0:
+                    combine(tile, part, out=tile)
+            if accd is not None:
+                combine(tile, accd[r0:r1, c0:c1], out=tile)
+        return saturated
 
     # ufuncs on slices this large release the GIL, so threads genuinely
     # overlap; tiny problems skip the pool entirely.
-    if spec.worker_count == 1 or len(spans) == 1 or nr * nc * nk < _PARALLEL_MIN_OPS:
-        saturated = [run(span) for span in spans]
+    fan_out = min(spec.worker_count, len(spans), available_parallelism())
+    if fan_out == 1 or nr * nc * nk < _PARALLEL_MIN_OPS:
+        saturated = run(spans)
     else:
-        pool = _pool_for(spec.worker_count)
-        saturated = list(pool.map(run, spans))
-    if any(saturated):
+        # list() waits for every share, so out is complete and errors surface
+        saturated = any(list(_shared_pool().map(run, [spans[i::fan_out] for i in range(fan_out)])))
+    if saturated:
         _note_saturation()
     return TropicalMatrix._wrap(x.kind, out, integer)
 
 
 def matvec(a: TropicalMatrix, v: TropicalVector) -> TropicalVector:
-    """out(i) = ⊕ over k of a(i,k) ⊗ v(k)."""
-    _check_same_kind(a, v)
-    if a.n_cols != len(v):
-        raise DimensionMismatch(f"matvec dimensions differ: {a.shape} x {len(v)}")
-    integer = a.integer and v.integer
-    limit = INT_EXACT_LIMIT if integer else math.inf
-    eps = _oriented_infinity(a.kind)
-    with np.errstate(over="ignore"):
-        block = a.data + v.data[None, :]
-    bad = np.isinf(block) if math.isinf(limit) else np.abs(block) >= limit
-    bad &= np.isfinite(a.data)
-    bad &= np.isfinite(v.data)[None, :]
-    if bad.any():
-        block[bad] = eps
-        _note_saturation()
-    out = _combine_ufunc(a.kind).reduce(block, axis=1)
+    """out(i) = ⊕ over k of a(i,k) ⊗ v(k): matmul with v as one column."""
+    column = matmul(a, TropicalMatrix._wrap(v.kind, v.data[:, None], v.integer))
     result = object.__new__(TropicalVector)
-    out.flags.writeable = False
     object.__setattr__(result, "kind", a.kind)
-    object.__setattr__(result, "data", out)
-    object.__setattr__(result, "integer", integer)
+    object.__setattr__(result, "data", column.data[:, 0])
+    object.__setattr__(result, "integer", column.integer)
     return result
 
 

@@ -22,7 +22,7 @@ from btas.matrix import (
     matmul,
     ew_add,
 )
-from btas.semiring import SemiringKind
+from btas.semiring import SemiringKind, reset_saturation, saturation_seen
 
 MIN = SemiringKind.MIN_PLUS
 INF = math.inf
@@ -231,3 +231,41 @@ def test_distance_matrix_wrapper_validation():
         DistanceMatrix(2, TropicalMatrix(SemiringKind.MAX_PLUS, [[0, 1], [1, 0]]))
     with pytest.raises(DimensionMismatch):
         DistanceMatrix(3, identity_matrix(MIN, 2))
+
+
+def test_floyd_warshall_integer_saturation_near_exactness_limit():
+    # 0→1→3 sums to 2^53 and saturates; 0→2→3 stays the finite shortest path
+    big = float(2**52)
+    graph = Graph(4, ((0, 1, big), (1, 3, big), (0, 2, 1.0), (2, 3, 1.0), (1, 2, big)))
+    reset_saturation()
+    report = floyd_warshall(graph_to_matrix(graph))
+    assert report.distances.dist.integer
+    assert report.distances.dist.to_lists() == [
+        [0, big, 1, 2],
+        [INF, 0, big, big],
+        [INF, INF, 0, 1],
+        [INF, INF, INF, 0],
+    ]
+    assert saturation_seen()
+    reset_saturation()
+
+
+def test_floyd_warshall_screen_trip_without_saturation_leaves_flag_clear():
+    # 2(n+1)·max|w| reaches 2^53, but no actual path sum does
+    big = float(2**50)
+    graph = Graph(3, ((0, 1, big), (1, 2, 1.0)))
+    reset_saturation()
+    report = floyd_warshall(graph_to_matrix(graph))
+    assert report.distances.dist.to_lists() == [[0, big, big + 1], [INF, 0, 1], [INF, INF, 0]]
+    assert not saturation_seen()
+
+
+def test_floyd_warshall_float_saturation_on_overflow():
+    # -1e308 + -1e308 overflows to -inf; it must saturate to no-path instead
+    graph = Graph(3, ((0, 1, -1e308), (1, 2, -1e308)))
+    reset_saturation()
+    report = floyd_warshall(graph_to_matrix(graph))
+    assert not report.distances.dist.integer
+    assert report.distances.dist.to_lists() == [[0, -1e308, INF], [INF, 0, -1e308], [INF, INF, 0]]
+    assert saturation_seen()
+    reset_saturation()

@@ -8,12 +8,12 @@ from btas.bench import (
     BenchAlgorithm,
     BenchConfig,
     BenchRecord,
-    bench_tiles,
     emit_csv,
     instance_seed,
     run_benchmark,
 )
 from btas.graph_io import RANDOM_FAMILY
+from btas.matrix import tile_plan
 
 
 def test_instance_seed_is_deterministic_and_size_dependent():
@@ -24,11 +24,11 @@ def test_instance_seed_is_deterministic_and_size_dependent():
 
 
 def test_bench_tiles_are_row_strips():
-    tiles = bench_tiles(128, 4)
+    tiles = tile_plan(128, 128, 4)
     assert tiles.tile_cols == 128
     assert tiles.tile_rows == 8
     assert tiles.worker_count == 4
-    assert bench_tiles(4, 16).tile_rows == 1
+    assert tile_plan(4, 4, 16).tile_rows == 1
 
 
 def test_record_invariants_enforced():

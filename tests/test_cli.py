@@ -170,3 +170,12 @@ def test_module_invocation(graph_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == SOLVED
+
+
+def test_solve_refuses_vertex_count_beyond_physical_memory(tmp_path, capsys):
+    huge = tmp_path / "huge.edges"
+    huge.write_text("1000000 0\n", encoding="utf-8")
+    assert entrypoint(["solve", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "1000000 vertices" in err and "GiB" in err
+    assert "Traceback" not in err

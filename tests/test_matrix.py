@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from btas import matrix as matrix_module
 from btas.matrix import (
     DimensionMismatch,
     SemiringMismatch,
@@ -326,11 +328,111 @@ def test_tile_spec_validation_and_default():
         TileSpec(0, 1, 1)
     with pytest.raises(ValueError):
         TileSpec(1, 1, 0)
-    spec = TileSpec.default()
-    assert spec.tile_rows == 8 and spec.tile_cols == 8
-    assert spec.worker_count == available_parallelism() >= 1
 
 
 def test_oversized_tiles_are_clamped_to_the_matrix():
     a = TropicalMatrix(MIN, [[1, 2], [3, 4]])
     assert matmul(a, a, tiles=TileSpec(100, 100, 2)) == matmul(a, a)
+
+
+def test_matvec_integer_saturation_values_and_flag():
+    big = float(2**52)
+    a = TropicalMatrix(MIN, [[big, 1], [INF, big], [big, INF]])
+    v = TropicalVector(MIN, [big, 5])
+    reset_saturation()
+    assert matvec(a, v).to_list() == [6, big + 5, INF]
+    assert saturation_seen()
+    reset_saturation()
+    assert matvec(a, TropicalVector(MIN, [1, 5])).to_list() == [6, big + 5, big + 1]
+    assert not saturation_seen()
+
+
+def test_matvec_float_saturation_values_and_flag():
+    reset_saturation()
+    a = TropicalMatrix(MIN, [[-1e308, 0.5], [1e308, 1e308]])
+    v = TropicalVector(MIN, [-1e308, 1e308])
+    assert matvec(a, v).to_list() == [1e308, 0.0]
+    assert saturation_seen()
+    reset_saturation()
+    m = TropicalMatrix(MAX, [[1e308, INF]])
+    assert matvec(m, TropicalVector(MAX, [1e308, 2.5])).to_list() == [INF]
+    assert saturation_seen()
+    reset_saturation()
+
+
+def test_product_where_only_some_k_positions_saturate():
+    big = float(2**52)
+    for kind in (MIN, MAX):
+        x = TropicalMatrix(kind, [[big, 3, INF, big], [INF, big, 1, 2]])
+        y = TropicalMatrix(kind, [[big, 0], [4, big], [big, 2], [1, INF]])
+        reset_saturation()
+        got = matmul(x, y).to_lists()
+        assert saturation_seen()
+        reset_saturation()
+        # saturated k terms drop out of the ⊕; the remaining finite terms decide
+        if kind is MIN:
+            assert got == [[7, big], [3, 3]]
+        else:
+            assert got == [[big + 1, big + 3], [big + 4, 3]]
+
+
+def test_k_blocks_match_naive_reference(monkeypatch):
+    # budgets small enough that dims <= 16 walk several k blocks with a ragged tail
+    rng = random.Random(0xB10C)
+    ragged = 0
+    for budget in (24, 96, 640):
+        monkeypatch.setattr(matrix_module, "_TASK_BYTES", budget)
+        for case in range(24):
+            kind = MIN if case % 2 else MAX
+            r, k, c = (rng.randint(1, 16) for _ in range(3))
+            xg, yg = random_grid(rng, r, k), random_grid(rng, k, c)
+            x, y = TropicalMatrix(kind, xg), TropicalMatrix(kind, yg)
+            acc_grid = random_grid(rng, r, c) if case % 4 < 2 else None
+            want = oracle_product(kind, xg, yg)
+            if acc_grid is not None:
+                pick = min if kind is MIN else max
+                want = [
+                    [a if math.isinf(b) else b if math.isinf(a) else pick(a, b) for a, b in zip(wr, ar)]
+                    for wr, ar in zip(want, acc_grid)
+                ]
+            acc = None if acc_grid is None else TropicalMatrix(kind, acc_grid)
+            for spec in (TileSpec(1, 1, 2), TileSpec(2, 2, 1), TileSpec(1, c, 2)):
+                kb = max(1, budget // (8 * min(spec.tile_rows, r) * min(spec.tile_cols, c)))
+                ragged += k > kb and k % kb != 0
+                got = matmul(x, y, accumulate_into=acc, tiles=spec)
+                assert got.tobytes() == TropicalMatrix(kind, want).tobytes()
+    assert ragged >= 20
+    # large enough to fan out to the pool: 5x7 tiles, k blocks of 3 over k=40
+    monkeypatch.setattr(matrix_module, "_TASK_BYTES", 8 * 5 * 7 * 3)
+    xg, yg = random_grid(rng, 48, 40), random_grid(rng, 40, 44)
+    got = matmul(TropicalMatrix(MIN, xg), TropicalMatrix(MIN, yg), tiles=TileSpec(5, 7, 4))
+    assert got.tobytes() == TropicalMatrix(MIN, oracle_product(MIN, xg, yg)).tobytes()
+
+
+def test_k_blocks_saturate_like_a_single_block(monkeypatch):
+    monkeypatch.setattr(matrix_module, "_TASK_BYTES", 24)
+    rng = random.Random(0x5A7)
+    big = float(2**52)
+    xg = [[rng.choice((INF, big + rng.randint(0, 9), float(rng.randint(0, 9)))) for _ in range(11)]
+          for _ in range(7)]
+    yg = [[rng.choice((INF, big + rng.randint(0, 9), float(rng.randint(0, 9)))) for _ in range(5)]
+          for _ in range(11)]
+    # min-plus over non-negative terms: an entry saturates iff every finite term reached 2^53
+    want = [[INF if v >= 2**53 else v for v in row] for row in oracle_product(MIN, xg, yg)]
+    overflow = any(a + b >= 2**53 for row in xg for a, col in zip(row, yg) for b in col)
+    assert overflow
+    for spec in (TileSpec(1, 1, 1), TileSpec(2, 2, 2), TileSpec(1, 5, 1)):
+        reset_saturation()
+        got = matmul(TropicalMatrix(MIN, xg), TropicalMatrix(MIN, yg), tiles=spec)
+        assert got.integer and got.tobytes() == TropicalMatrix(MIN, want).tobytes()
+        assert saturation_seen()
+    reset_saturation()
+
+
+def test_threads_per_call_are_bounded():
+    rng = random.Random(96)
+    x = TropicalMatrix(MIN, random_grid(rng, 96, 96))
+    before = threading.active_count()
+    got = matmul(x, x, tiles=TileSpec(1, 1, 64))
+    assert threading.active_count() <= before + available_parallelism()
+    assert got.tobytes() == matmul(x, x, tiles=TileSpec(96, 96, 1)).tobytes()
