@@ -436,3 +436,25 @@ def test_threads_per_call_are_bounded():
     got = matmul(x, x, tiles=TileSpec(1, 1, 64))
     assert threading.active_count() <= before + available_parallelism()
     assert got.tobytes() == matmul(x, x, tiles=TileSpec(96, 96, 1)).tobytes()
+
+
+def test_kernel_buffers_start_on_cache_lines(monkeypatch):
+    addresses = []
+
+    def recording(size):
+        buf = aligned_empty(size)
+        addresses.append(buf.ctypes.data)
+        return buf
+
+    aligned_empty = matrix_module._aligned_empty
+    for size in (1, 7, 8, 9, 1000, 131072):
+        buf = aligned_empty(size)
+        assert buf.shape == (size,) and buf.dtype == np.float64 and buf.flags.writeable
+        assert buf.ctypes.data % 64 == 0
+    monkeypatch.setattr(matrix_module, "_aligned_empty", recording)
+    monkeypatch.setattr(matrix_module, "_TASK_BYTES", 8 * 3 * 5 * 2)
+    rng = random.Random(64)
+    xg, yg = random_grid(rng, 6, 9), random_grid(rng, 9, 5)
+    got = matmul(TropicalMatrix(MIN, xg), TropicalMatrix(MIN, yg), tiles=TileSpec(3, 5, 1))
+    assert got.tobytes() == TropicalMatrix(MIN, oracle_product(MIN, xg, yg)).tobytes()
+    assert len(addresses) == 2 and all(a % 64 == 0 for a in addresses)
