@@ -148,6 +148,7 @@ class BenchConfig:
             raise ValueError("repetitions must be at least 1")
         if not self.worker_counts or any(w < 1 for w in self.worker_counts):
             raise ValueError(f"worker counts must be positive, got {self.worker_counts!r}")
+        random_graph(1, self.edge_probability, self.weight_range, self.seed)  # checks p and the weights
 
 
 def instance_seed(seed: int, n: int) -> int:

@@ -6,9 +6,12 @@ Two line-oriented UTF-8 formats, both allowing `#` comment lines:
 * matrix: header `n_rows n_cols kind`, then one whitespace-separated row
   per line with `inf` for Infinity.
 
+A weight token is read by Python's float(), so `inf`, `INF`, `Infinity`
+and `1e309` all mean Infinity; NaN and -inf are refused.
+
 Legacy adjacency grids that mark "no edge" in-band (0 or -1) are read as
-bare n x n numeric grids under an explicit SentinelConvention; sentinels
-are normalized to Infinity on ingestion and never guessed.
+bare n x n numeric grids under an explicit SentinelConvention; they refuse
+Infinity, and their sentinels are normalized to it, never guessed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .matrix import TropicalMatrix
-from .semiring import SemiringKind, format_weight, parse_weight
+from .semiring import SemiringKind
 
 #: Generator family used by random_graph, recorded in benchmark metadata.
 RANDOM_FAMILY = "numpy-pcg64"
@@ -91,15 +94,10 @@ class Graph:
         return len(self.edges)
 
 
-def _content_lines(text: str) -> "list[tuple[int, list[str]]]":
-    """(line_no, tokens) for every non-blank, non-comment line."""
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((line_no, stripped.split()))
-    return out
+def _content_lines(text: str) -> "list[tuple[int, str]]":
+    """(line_no, line) for every line that is neither blank nor a `#` comment."""
+    numbered = enumerate(text.splitlines(), start=1)
+    return [(line_no, line) for line_no, line in numbered if line.lstrip()[:1] not in ("", "#")]
 
 
 def _parse_int(token: str, what: str, line_no: int) -> int:
@@ -107,6 +105,37 @@ def _parse_int(token: str, what: str, line_no: int) -> int:
         return int(token)
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {token!r}", line_no) from None
+
+
+def _parse_weight(token: str, line_no: int) -> float:
+    """The weight rule: float(token), with NaN and -inf refused."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"not a number: {token!r}", line_no) from None
+    if not value > -math.inf:
+        raise ParseError(f"weights cannot be NaN or -inf, got {token!r}", line_no)
+    return value
+
+
+def _read_rows(rows: "list[tuple[int, str]]", n_cols: int, finite: bool) -> np.ndarray:
+    """Fill a float64 grid line by line under the weight rule; finite=True
+    also refuses +inf.  The first line of wrong length or with a bad token raises."""
+    grid = np.empty((len(rows), n_cols))
+    for out, (line_no, line) in zip(grid, rows):
+        tokens = line.split()
+        if len(tokens) != n_cols:
+            raise ParseError(f"expected {n_cols} entries, got {len(tokens)}", line_no)
+        try:
+            out[:] = list(map(float, tokens))
+            if (np.isfinite(out) if finite else out > -math.inf).all():
+                continue
+        except ValueError:
+            pass
+        for token in tokens:  # the line is bad: name its first bad token
+            if _parse_weight(token, line_no) == math.inf and finite:
+                raise ParseError(f"grid entries must be finite numbers, got {token!r}", line_no)
+    return grid
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -121,7 +150,7 @@ def parse_edge_list(text: str) -> Graph:
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty input, expected an `n m` header")
-    header_no, header = lines[0]
+    header_no, header = lines[0][0], lines[0][1].split()
     if len(header) != 2:
         raise ParseError(f"expected header `n m`, got {' '.join(header)!r}", header_no)
     n = _parse_int(header[0], "vertex count", header_no)
@@ -146,30 +175,28 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"header promises {m} edges but file has {len(body)} edge lines", header_no)
 
     edges = []
-    for line_no, tokens in body:
+    for line_no, line in body:
+        tokens = line.split()
         if len(tokens) != 3:
             raise ParseError(f"expected `src dst weight`, got {' '.join(tokens)!r}", line_no)
         src = _parse_int(tokens[0], "source vertex", line_no)
         dst = _parse_int(tokens[1], "destination vertex", line_no)
         if not (0 <= src < n) or not (0 <= dst < n):
             raise ParseError(f"vertex index out of range 0..{n - 1} in edge ({src}, {dst})", line_no)
-        try:
-            weight = parse_weight(tokens[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-        if weight.is_infinite:
+        weight = _parse_weight(tokens[2], line_no)
+        if weight == math.inf:
             raise ParseError("edge weights must be finite; omit the edge instead of `inf`", line_no)
-        if src == dst and weight.value >= 0.0:
+        if src == dst and weight >= 0.0:
             continue
-        edges.append((src, dst, weight.value))
+        edges.append((src, dst, weight))
     return Graph(n=n, edges=tuple(edges))
 
 
 def edge_list_to_text(g: Graph) -> str:
     """Inverse of parse_edge_list on normalized graphs."""
-    integer = all(float(w).is_integer() for _, _, w in g.edges)
+    text = (lambda w: str(int(w))) if all(w.is_integer() for _, _, w in g.edges) else repr
     rows = [f"{g.n} {g.edge_count}"]
-    rows.extend(f"{s} {d} {format_weight(w, integer=integer)}" for s, d, w in g.edges)
+    rows.extend(f"{s} {d} {text(w)}" for s, d, w in g.edges)
     return "\n".join(rows) + "\n"
 
 
@@ -177,9 +204,9 @@ def graph_to_matrix(g: Graph) -> TropicalMatrix:
     """Min-plus adjacency matrix: diagonal 0, absent edges Infinity."""
     arr = np.full((g.n, g.n), math.inf)
     np.fill_diagonal(arr, 0.0)
-    for src, dst, weight in g.edges:
-        if arr[src, dst] > weight:
-            arr[src, dst] = weight
+    if g.edges:
+        src, dst, weight = map(np.array, zip(*g.edges))  # Graph holds each (src, dst) pair once
+        arr[src, dst] = np.minimum(arr[src, dst], weight)
     return TropicalMatrix(SemiringKind.MIN_PLUS, arr)
 
 
@@ -193,33 +220,23 @@ def matrix_to_graph(m: TropicalMatrix) -> Graph:
         raise ValueError("only min-plus matrices describe graphs")
     if m.n_rows != m.n_cols:
         raise ValueError(f"adjacency matrix must be square, got {m.shape}")
-    edges = []
-    for i in range(m.n_rows):
-        for j in range(m.n_cols):
-            v = float(m.data[i, j])
-            if math.isinf(v):
-                continue
-            if i == j and v >= 0.0:
-                continue
-            edges.append((i, j, v))
-    return Graph(n=m.n_rows, edges=tuple(edges))
+    keep = np.isfinite(m.data)
+    np.fill_diagonal(keep, np.diagonal(m.data) < 0.0)
+    src, dst = np.nonzero(keep)
+    return Graph(n=m.n_rows, edges=tuple(zip(src.tolist(), dst.tolist(), m.data[src, dst].tolist())))
 
 
 def matrix_to_text(m: TropicalMatrix) -> str:
     """Native matrix format; integer mode prints weights without a point."""
+    text = (lambda v: str(int(v))) if m.integer else repr
     rows = [f"{m.n_rows} {m.n_cols} {m.kind.value}"]
-    for i in range(m.n_rows):
-        rows.append(
-            " ".join(
-                format_weight(math.inf if math.isinf(v) else float(v), integer=m.integer)
-                for v in m.data[i]
-            )
-        )
+    for row in m.data:
+        rows.append(" ".join(["inf" if math.isinf(v) else text(v) for v in row.tolist()]))
     return "\n".join(rows) + "\n"
 
 
-def _parse_native_matrix(lines: "list[tuple[int, list[str]]]") -> TropicalMatrix:
-    header_no, header = lines[0]
+def _parse_native_matrix(lines: "list[tuple[int, str]]") -> TropicalMatrix:
+    header_no, header = lines[0][0], lines[0][1].split()
     if len(header) != 3:
         raise ParseError(f"expected header `n_rows n_cols kind`, got {' '.join(header)!r}", header_no)
     n_rows = _parse_int(header[0], "row count", header_no)
@@ -233,43 +250,21 @@ def _parse_native_matrix(lines: "list[tuple[int, list[str]]]") -> TropicalMatrix
     body = lines[1:]
     if len(body) != n_rows:
         raise ParseError(f"header promises {n_rows} rows but file has {len(body)}", header_no)
-    grid = []
-    for line_no, tokens in body:
-        if len(tokens) != n_cols:
-            raise ParseError(f"expected {n_cols} entries, got {len(tokens)}", line_no)
-        try:
-            grid.append([parse_weight(t).value for t in tokens])
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-    return TropicalMatrix(kind, grid)
+    return TropicalMatrix(kind, _read_rows(body, n_cols, finite=False))
 
 
-def _parse_grid_matrix(lines: "list[tuple[int, list[str]]]", sentinel: SentinelConvention) -> TropicalMatrix:
-    n = len(lines[0][1])
+def _parse_grid_matrix(lines: "list[tuple[int, str]]", sentinel: SentinelConvention) -> TropicalMatrix:
+    n = len(lines[0][1].split())
     if len(lines) != n:
         raise ParseError(
             f"grid is {len(lines)} rows of {n} entries, expected a square matrix", lines[0][0]
         )
-    grid = []
-    for row_index, (line_no, tokens) in enumerate(lines):
-        if len(tokens) != n:
-            raise ParseError(f"ragged row: expected {n} entries, got {len(tokens)}", line_no)
-        row = []
-        for col_index, token in enumerate(tokens):
-            try:
-                value = float(token)
-            except ValueError:
-                raise ParseError(f"not a number: {token!r}", line_no) from None
-            if math.isnan(value) or math.isinf(value):
-                raise ParseError(f"grid entries must be finite numbers, got {token!r}", line_no)
-            if sentinel is SentinelConvention.ZERO_MEANS_NO_EDGE:
-                # diagonal zeros are genuine self-distances, not sentinels
-                if value == 0.0 and row_index != col_index:
-                    value = math.inf
-            elif value == -1.0:
-                value = math.inf
-            row.append(value)
-        grid.append(row)
+    grid = _read_rows(lines, n, finite=True)
+    if sentinel is SentinelConvention.ZERO_MEANS_NO_EDGE:
+        # diagonal zeros are genuine self-distances, not sentinels
+        grid[(grid == 0.0) & ~np.eye(n, dtype=bool)] = math.inf
+    else:
+        grid[grid == -1.0] = math.inf
     return TropicalMatrix(SemiringKind.MIN_PLUS, grid)
 
 
@@ -311,12 +306,11 @@ def random_graph(
         raise ValueError(f"weight range must be finite with low <= high, got {weight_range!r}")
 
     rng = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFF_FFFF_FFFF_FFFF))
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    present = rng.random(len(pairs)) < p
-    chosen = [pair for pair, keep in zip(pairs, present) if keep]
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))  # ordered pairs i != j, row-major
+    present = rng.random(src.size) < p
+    src, dst = src[present], dst[present]
     if low.is_integer() and high.is_integer():
-        weights = rng.integers(int(low), int(high) + 1, size=len(chosen)).astype(np.float64)
+        weights = rng.integers(int(low), int(high) + 1, size=src.size).astype(np.float64)
     else:
-        weights = rng.uniform(low, high, size=len(chosen))
-    edges = tuple((src, dst, float(w)) for (src, dst), w in zip(chosen, weights))
-    return Graph(n=n, edges=edges)
+        weights = rng.uniform(low, high, size=src.size)
+    return Graph(n=n, edges=tuple(zip(src.tolist(), dst.tolist(), weights.tolist())))

@@ -69,6 +69,8 @@ class TileSpec:
 
 def tile_plan(n_rows: int, n_cols: int, worker_count: int) -> TileSpec:
     """Full-width row strips sized for about four tasks per worker."""
+    if worker_count < 1:
+        raise ValueError(f"worker_count must be a positive integer, got {worker_count!r}")
     strip = max(1, math.ceil(n_rows / (4 * worker_count)))
     return TileSpec(tile_rows=strip, tile_cols=n_cols, worker_count=worker_count)
 
@@ -117,8 +119,9 @@ def _detect_integer(oriented: np.ndarray, requested: "bool | None") -> bool:
     return True
 
 
-def _to_symbolic(value: float) -> float:
-    return math.inf if math.isinf(value) else value
+def _to_symbolic(oriented):
+    """Oriented entries (a scalar or an array) with either infinity as +inf."""
+    return np.where(np.isinf(oriented), math.inf, oriented)
 
 
 def _freeze(obj, kind: SemiringKind, oriented: np.ndarray, integer: bool):
@@ -183,12 +186,11 @@ class TropicalMatrix:
         return self.data.shape
 
     def weight_at(self, i: int, j: int) -> TropicalWeight:
-        return TropicalWeight(_to_symbolic(float(self.data[i, j])))
+        return TropicalWeight(float(_to_symbolic(self.data[i, j])))
 
     def to_lists(self) -> "list[list[float]]":
         """Symbolic-form rows: plain floats with math.inf for Infinity."""
-        sym = np.where(np.isinf(self.data), math.inf, self.data)
-        return [[float(v) for v in row] for row in sym]
+        return _to_symbolic(self.data).tolist()
 
     def tobytes(self) -> bytes:
         return self.data.tobytes()
@@ -236,10 +238,10 @@ class TropicalVector:
         return self.data.shape[0]
 
     def weight_at(self, i: int) -> TropicalWeight:
-        return TropicalWeight(_to_symbolic(float(self.data[i])))
+        return TropicalWeight(float(_to_symbolic(self.data[i])))
 
     def to_list(self) -> "list[float]":
-        return [float(_to_symbolic(v)) for v in self.data]
+        return _to_symbolic(self.data).tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TropicalVector):

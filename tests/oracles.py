@@ -117,3 +117,115 @@ def has_negative_cycle(n, edges):
         return False
 
     return any(walk(s, s, 0.0, {s}) for s in range(n))
+
+
+class OracleParseError(ValueError):
+    """The reference readers' refusal; line_no is 1-based, or None."""
+
+    def __init__(self, line_no):
+        super().__init__(f"line {line_no}")
+        self.line_no = line_no
+
+
+def _content_lines(text):
+    out = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            out.append((line_no, stripped.split()))
+    return out
+
+
+def _read_int(token, line_no):
+    try:
+        return int(token)
+    except ValueError:
+        raise OracleParseError(line_no) from None
+
+
+def read_weight(token, line_no):
+    """One weight token: any case of `inf` is Infinity, anything else goes
+    through float(); NaN and -inf are refused, -0.0 reads as 0.0."""
+    if token.lower() == "inf":
+        return math.inf
+    try:
+        value = float(token)
+    except ValueError:
+        raise OracleParseError(line_no) from None
+    if math.isnan(value) or value == -math.inf:
+        raise OracleParseError(line_no)
+    return 0.0 if value == 0.0 else value
+
+
+def read_edge_list(text):
+    """Token-by-token reference of the edge-list reader: (n, edges) with
+    duplicates collapsed to the minimum and edges sorted by (src, dst)."""
+    lines = _content_lines(text)
+    if not lines:
+        raise OracleParseError(None)
+    header_no, header = lines[0]
+    if len(header) != 2:
+        raise OracleParseError(header_no)
+    n, m = _read_int(header[0], header_no), _read_int(header[1], header_no)
+    if n < 1 or m < 0 or len(lines) - 1 != m:
+        raise OracleParseError(header_no)
+    best = {}
+    for line_no, tokens in lines[1:]:
+        if len(tokens) != 3:
+            raise OracleParseError(line_no)
+        src, dst = _read_int(tokens[0], line_no), _read_int(tokens[1], line_no)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise OracleParseError(line_no)
+        w = read_weight(tokens[2], line_no)
+        if w == math.inf:
+            raise OracleParseError(line_no)
+        if src == dst and w >= 0.0:
+            continue
+        if (src, dst) not in best or w < best[(src, dst)]:
+            best[(src, dst)] = w
+    return n, tuple((src, dst, best[(src, dst)]) for src, dst in sorted(best))
+
+
+def read_matrix(text, sentinel):
+    """Token-by-token reference of the matrix reader: (kind, rows) with
+    math.inf for Infinity.  sentinel "inf" reads the headered format;
+    "zero" and "minus-one" read a bare square grid of finite numbers."""
+    lines = _content_lines(text)
+    if not lines:
+        raise OracleParseError(None)
+    if sentinel == "inf":
+        header_no, header = lines[0]
+        if len(header) != 3:
+            raise OracleParseError(header_no)
+        n_rows, n_cols = _read_int(header[0], header_no), _read_int(header[1], header_no)
+        kind = header[2].lower()
+        if n_rows < 1 or n_cols < 1 or kind not in (MINPLUS, MAXPLUS) or len(lines) - 1 != n_rows:
+            raise OracleParseError(header_no)
+        rows = []
+        for line_no, tokens in lines[1:]:
+            if len(tokens) != n_cols:
+                raise OracleParseError(line_no)
+            rows.append([read_weight(token, line_no) for token in tokens])
+        return kind, rows
+    n = len(lines[0][1])
+    if len(lines) != n:
+        raise OracleParseError(lines[0][0])
+    rows = []
+    for i, (line_no, tokens) in enumerate(lines):
+        if len(tokens) != n:
+            raise OracleParseError(line_no)
+        row = []
+        for j, token in enumerate(tokens):
+            try:
+                value = float(token)
+            except ValueError:
+                raise OracleParseError(line_no) from None
+            if math.isnan(value) or math.isinf(value):
+                raise OracleParseError(line_no)
+            if sentinel == "zero" and value == 0.0 and i != j:
+                value = math.inf
+            elif sentinel == "minus-one" and value == -1.0:
+                value = math.inf
+            row.append(0.0 if value == 0.0 else value)
+        rows.append(row)
+    return MINPLUS, rows

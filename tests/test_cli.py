@@ -162,6 +162,26 @@ def test_bench_rejects_bad_flags(capsys):
     assert entrypoint(["bench", "--algorithm", "gpu"]) == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_solve_rejects_non_positive_workers(graph_file, capsys, workers):
+    assert entrypoint(["solve", str(graph_file), "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "worker_count" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--weights", "1:inf"], ["--weights", "5:1"], ["--edge-prob", "2"]],
+    ids=["inf-weight", "reversed-weights", "probability"],
+)
+def test_bench_rejects_bad_instance_arguments(capsys, flags):
+    assert entrypoint(["bench", "--sizes", "4", "--reps", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_module_invocation(graph_file):
     proc = subprocess.run(
         [sys.executable, "-m", "btas", "solve", str(graph_file)],

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
+import oracles
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from btas.graph_io import (
@@ -246,3 +248,111 @@ def test_random_graph_validation():
 
 def test_random_family_token():
     assert RANDOM_FAMILY == "numpy-pcg64"
+
+
+@pytest.mark.parametrize(
+    "args, edge_count, digest",
+    [
+        ((12, 0.4, (1, 100), 2024), 66, "8a65cd7f4504d4b774bcf62bb81d549346c92d47e1ca7d4fa8ca172d5621dc83"),
+        ((40, 0.5, (0.5, 2.5), 7), 786, "0f4eae5a6693fd3d9b9eff0ecda73e161b43af1c57f68b29ae0d3f1ad157d66c"),
+        ((64, 0.1, (-5, 5), 123), 396, "4f80e40e277cba02bc48c7accdca39e86461be4ca810909055f9465f8f7da87b"),
+        ((9, 1.0, (1, 1), 0), 72, "b3743e33870c41c61a9e250e97d0921b2fb4b8fb389f223a7da4253343d7d5f2"),
+    ],
+)
+def test_random_graph_instances_are_pinned(args, edge_count, digest):
+    # digests of repr(edges) from the pair-list generator; the RNG stream must not drift
+    g = random_graph(*args)
+    assert g.edge_count == edge_count
+    assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == digest
+
+
+# Token soup for the readers: valid spellings of weights next to refused ones.
+FINITE = ["0", "1", "-1", "7", "2.5", "+5", "1_000", "-0.0", "-0", "3e-2"]
+INFINITE = ["inf", "INF", "Infinity", "+inf", "1e309"]
+REFUSED = ["nan", "NaN", "-inf", "-Infinity", "-1e309", "x", "1..2", "0x10", "--1", "inf5", "_1"]
+GRID_FINITE = ["0", "-1", "1", "5", "2.5", "+5", "1_000", "-0.0", "-1.0", "-0", "0.0"]
+
+
+@st.composite
+def soup_token(draw, good, bad, junk_percent):
+    return draw(st.sampled_from(bad if draw(st.integers(0, 99)) < junk_percent else good))
+
+
+@st.composite
+def soup_text(draw, header, rows):
+    """Join header and rows (token lists) into text, with comments, blank
+    lines, CRLF and the odd ragged row mixed in."""
+    out = [] if header is None else [header]
+    for row in rows:
+        if draw(st.integers(0, 14)) == 0:
+            row = row[:-1] if draw(st.booleans()) else [*row, "1"]
+        out.append(" ".join(row))
+    decorated = []
+    for line in out:
+        decorated.extend(draw(st.lists(st.sampled_from(["", "  ", "# note", "  # 1 2 3", "\t"]), max_size=1)))
+        decorated.append(draw(st.sampled_from(["", " ", "\t"])) + line)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(decorated) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def edge_list_soup(draw):
+    junk = draw(st.sampled_from([0, 0, 3, 20]))
+    n = draw(st.integers(1, 5))
+    vertex = soup_token([str(v) for v in range(n)] + ["+0", "0_0"], [str(n), "-1", "x", "1.0"], junk)
+    weight = soup_token(FINITE, REFUSED + INFINITE, junk)
+    rows = draw(st.lists(st.tuples(vertex, vertex, weight).map(list), max_size=8))
+    n_token = draw(soup_token([str(n)], ["0", "-2", "x"], junk))
+    m_token = draw(soup_token([str(len(rows))], [str(len(rows) + 1), "-1"], junk))
+    return draw(soup_text(f"{n_token} {m_token}", rows))
+
+
+@st.composite
+def matrix_soup(draw):
+    sentinel = draw(st.sampled_from(["inf", "zero", "minus-one"]))
+    junk = draw(st.sampled_from([0, 0, 3, 20]))
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if sentinel == "inf":
+        entry = soup_token(FINITE + INFINITE, REFUSED, junk)
+        kind = draw(soup_token(["minplus", "maxplus", "MaxPlus"], ["boolean"], junk))
+        header = f"{draw(soup_token([str(n_rows)], ['0', str(n_rows + 1)], junk))} {n_cols} {kind}"
+    else:
+        entry = soup_token(GRID_FINITE, INFINITE + REFUSED, junk)
+        header, n_cols = None, n_rows
+    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    return sentinel, draw(soup_text(header, rows))
+
+
+def _outcome(read, *args):
+    """repr of what a reader returns, or the line its ParseError names."""
+    try:
+        return "ok", repr(read(*args))
+    except (ParseError, oracles.OracleParseError) as exc:
+        return "error", exc.line_no
+
+
+def _read_matrix(text, sentinel):
+    m = parse_matrix(text, SentinelConvention(sentinel))
+    return m.kind.value, m.to_lists()
+
+
+def _read_edge_list(text):
+    g = parse_edge_list(text)
+    return g.n, g.edges
+
+
+@given(matrix_soup())
+@example(("inf", "2 3 maxplus\nINF Infinity 1e309\n+5 1_000 -0.0\n"))
+@example(("inf", "# c\n\n1 2 minplus\n1 -inf\n"))
+@example(("zero", "0 -0.0\n3 0\n"))
+@example(("minus-one", "-1.0 2\n\n# x\n3 inf\n"))
+def test_readers_match_the_per_token_oracle_on_matrix_soup(case):
+    sentinel, text = case
+    assert _outcome(_read_matrix, text, sentinel) == _outcome(oracles.read_matrix, text, sentinel)
+
+
+@given(edge_list_soup())
+@example("2 2\n0 1 1_000\n1 0 -0.0\n")
+@example("2 1\n# c\n0 1 Infinity\n")
+@example("3 1\n1 2 nan\n")
+def test_readers_match_the_per_token_oracle_on_edge_list_soup(text):
+    assert _outcome(_read_edge_list, text) == _outcome(oracles.read_edge_list, text)
