@@ -20,7 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from .apsp import apsp_by_squaring, floyd_warshall
-from .graph_io import RANDOM_FAMILY, graph_to_matrix, random_graph
+from .graph_io import RANDOM_FAMILY, graph_to_matrix, random_graph, require_dense_fits
 from .matrix import TileSpec, matmul, tile_plan
 
 CSV_HEADER = "algorithm,n,worker_count,repetitions,median_seconds,min_seconds,max_seconds,seed"
@@ -149,6 +149,7 @@ class BenchConfig:
         if not self.worker_counts or any(w < 1 for w in self.worker_counts):
             raise ValueError(f"worker counts must be positive, got {self.worker_counts!r}")
         random_graph(1, self.edge_probability, self.weight_range, self.seed)  # checks p and the weights
+        require_dense_fits(max(self.sizes))
 
 
 def instance_seed(seed: int, n: int) -> int:

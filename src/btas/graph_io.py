@@ -29,9 +29,6 @@ from .semiring import SemiringKind
 #: Generator family used by random_graph, recorded in benchmark metadata.
 RANDOM_FAMILY = "numpy-pcg64"
 
-#: Dense n x n float64 matrices a solve holds at once: A, I ⊕ A and two powers.
-_SOLVE_DENSE_COPIES = 4
-
 
 class ParseError(ValueError):
     """Malformed input text; carries the 1-based line number when known."""
@@ -138,11 +135,24 @@ def _read_rows(rows: "list[tuple[int, str]]", n_cols: int, finite: bool) -> np.n
     return grid
 
 
+def require_dense_fits(n: int) -> None:
+    """Refuse (ValueError) an n whose dense solve working set exceeds physical memory."""
+    dense_bytes = 4 * 8 * n * n  # float64 A, I ⊕ A and two powers
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # platform without these sysconf names
+        return
+    if dense_bytes > memory:
+        raise ValueError(
+            f"{n} vertices need {dense_bytes / 2**30:.1f} GiB as dense {n}x{n} float64 matrices,"
+            f" more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def parse_edge_list(text: str) -> Graph:
     """Read `n m` followed by m `src dst weight` lines.
 
-    A header whose n would make the dense working set of a solve larger
-    than physical memory is refused before anything n-sized is allocated.
+    A header whose n fails require_dense_fits is refused.
 
     Self-loops with non-negative weight are dropped (self-distance is 0 by
     definition); negative self-loops are kept, they are negative cycles.
@@ -159,17 +169,10 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"vertex count must be positive, got {n}", header_no)
     if m < 0:
         raise ParseError(f"edge count cannot be negative, got {m}", header_no)
-    dense_bytes = _SOLVE_DENSE_COPIES * 8 * n * n
     try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # platform without these sysconf names
-        memory = None
-    if memory is not None and dense_bytes > memory:
-        raise ParseError(
-            f"{n} vertices need {dense_bytes / 2**30:.1f} GiB as dense {n}x{n} float64 matrices,"
-            f" more than the {memory / 2**30:.1f} GiB of physical memory",
-            header_no,
-        )
+        require_dense_fits(n)
+    except ValueError as exc:
+        raise ParseError(str(exc), header_no) from None
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"header promises {m} edges but file has {len(body)} edge lines", header_no)

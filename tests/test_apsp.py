@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from btas.apsp import (
@@ -169,10 +171,24 @@ def test_squaring_is_deterministic_across_worker_counts():
             assert got == reference
 
 
+def shifted(graph, rng, spread):
+    """The graph with w(u,v) + p(u) - p(v): same shortest paths, no new
+    negative cycles, but negative weights and (for real p) float sums."""
+    pot = [rng.uniform(-spread, spread) for _ in range(graph.n)]
+    return Graph(graph.n, tuple((s, d, w + pot[s] - pot[d]) for s, d, w in graph.edges))
+
+
 def test_verify_accepts_producer_output():
     rng = random.Random(0xFADE)
-    for _ in range(15):
-        adj = graph_to_matrix(random_instance(rng, rng.randint(1, 12)))
+    graphs = [random_instance(rng, rng.randint(1, 12)) for _ in range(15)]
+    graphs += [random_instance(rng, rng.randint(2, 40), 0.1, 10.7, rng.choice((0.1, 0.5)))
+               for _ in range(15)]
+    graphs += [shifted(random_instance(rng, rng.randint(2, 40), 0.1, 10.7), rng, 50.0)
+               for _ in range(15)]
+    # squaring and FW group this instance's float sums differently
+    graphs.append(random_graph(32, 0.1, (0.1, 10.7), 1736404157))
+    for graph in graphs:
+        adj = graph_to_matrix(graph)
         assert verify_apsp(adj, floyd_warshall(adj).distances)
         assert verify_apsp(adj, apsp_by_squaring(adj).distances)
 
@@ -187,7 +203,7 @@ def test_verify_rejects_slack_entry():
     stale = TropicalMatrix(MIN, [[0, 1, 5], [INF, 0, 2], [INF, INF, 0]])
     assert not verify_apsp(adj, DistanceMatrix.from_matrix(stale))
     violation = find_apsp_violation(adj, DistanceMatrix.from_matrix(stale))
-    assert "triangle" in violation or "fixpoint" in violation
+    assert violation == "entry (0,2) is 5.0, the shortest distance is 3.0"
 
 
 def test_verify_names_each_violation_kind():
@@ -196,17 +212,40 @@ def test_verify_names_each_violation_kind():
 
     broken_diag = [row[:] for row in good]
     broken_diag[1][1] = 2.0
-    assert "diagonal" in find_apsp_violation(
-        adj, DistanceMatrix.from_matrix(TropicalMatrix(MIN, broken_diag))
-    )
+    violation = find_apsp_violation(adj, DistanceMatrix.from_matrix(TropicalMatrix(MIN, broken_diag)))
+    assert violation == "entry (1,1) is 2.0, the shortest distance is 0.0"
 
     above_edge = [row[:] for row in good]
     above_edge[0][1] = 9.0
-    assert "edge" in find_apsp_violation(
-        adj, DistanceMatrix.from_matrix(TropicalMatrix(MIN, above_edge))
-    )
+    violation = find_apsp_violation(adj, DistanceMatrix.from_matrix(TropicalMatrix(MIN, above_edge)))
+    assert violation == "entry (0,1) is 9.0, the shortest distance is 1.0"
 
     assert find_apsp_violation(adj, floyd_warshall(adj).distances) is None
+
+
+@st.composite
+def integer_graphs_with_negative_weights(draw):
+    """Non-negative integer weights shifted by integer vertex potentials:
+    negative edges but no negative cycle."""
+    n = draw(st.integers(1, 7))
+    pot = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    vertex = st.integers(0, n - 1)
+    raw = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 20)), max_size=3 * n))
+    return Graph(n, tuple((s, d, float(w + pot[s] - pot[d])) for s, d, w in raw))
+
+
+@given(integer_graphs_with_negative_weights(), st.data())
+def test_verify_rejects_every_one_entry_mutant(graph, data):
+    adj = graph_to_matrix(graph)
+    solve = data.draw(st.sampled_from([floyd_warshall, apsp_by_squaring]))
+    good = solve(adj).distances.dist.to_lists()
+    assert verify_apsp(adj, DistanceMatrix.from_matrix(TropicalMatrix(MIN, good)))
+    i, j = data.draw(st.integers(0, graph.n - 1)), data.draw(st.integers(0, graph.n - 1))
+    if good[i][j] == INF:
+        good[i][j] = float(data.draw(st.integers(-100, 100)))
+    else:
+        good[i][j] += data.draw(st.sampled_from([-1.0, 1.0]))
+    assert not verify_apsp(adj, DistanceMatrix.from_matrix(TropicalMatrix(MIN, good)))
 
 
 def test_verify_shape_mismatch_raises():

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from btas.cli import entrypoint
+from btas.graph_io import edge_list_to_text, random_graph
 
 THREE_NODE = "3 3\n0 1 1\n1 2 2\n0 2 5\n"
 SOLVED = "3 3 minplus\n0 1 3\ninf 0 2\ninf inf 0\n"
@@ -103,6 +104,42 @@ def test_verify_rejects_tampered_entry(graph_file, tmp_path, capsys):
     assert "verification failed" in out
 
 
+@pytest.mark.parametrize(
+    "graph, claimed",
+    [
+        ("2 1\n0 1 3\n", "2 2 minplus\n0 1\ninf 0\n"),
+        ("2 0\n", "2 2 minplus\n0 -5\ninf 0\n"),
+        ("3 2\n1 2 0\n2 1 0\n", "3 3 minplus\n0 -5 -5\ninf 0 0\ninf 0 0\n"),
+    ],
+    ids=["below-the-edge", "no-path", "unreachable-zero-cycle"],
+)
+def test_verify_rejects_distances_below_every_path(tmp_path, capsys, graph, claimed):
+    graph_path, result = tmp_path / "graph.edges", tmp_path / "dist.mat"
+    graph_path.write_text(graph, encoding="utf-8")
+    result.write_text(claimed, encoding="utf-8")
+    assert entrypoint(["verify", str(graph_path), str(result)]) == 1
+    assert capsys.readouterr().out.startswith("verification failed: entry (0,1) is ")
+
+
+@pytest.mark.parametrize("algorithm", ["fw", "square"])
+def test_verify_accepts_float_solve_output(tmp_path, capsys, algorithm):
+    # squaring and FW group this instance's float sums differently
+    graph = tmp_path / "graph.edges"
+    graph.write_text(edge_list_to_text(random_graph(32, 0.1, (0.1, 10.7), 1736404157)), encoding="utf-8")
+    result = tmp_path / "dist.mat"
+    assert entrypoint(["solve", str(graph), "--algorithm", algorithm, "--out", str(result)]) == 0
+    assert entrypoint(["verify", str(graph), str(result)]) == 0
+    assert capsys.readouterr().out.startswith("ok")
+
+
+def test_verify_rejects_any_result_for_a_negative_cycle(tmp_path, capsys):
+    graph, result = tmp_path / "graph.edges", tmp_path / "dist.mat"
+    graph.write_text("2 2\n0 1 -1\n1 0 -1\n", encoding="utf-8")
+    assert entrypoint(["solve", str(graph), "--out", str(result)]) == 0
+    assert entrypoint(["verify", str(graph), str(result)]) == 1
+    assert "negative cycle" in capsys.readouterr().out
+
+
 def test_verify_wrong_shape_exits_2(graph_file, tmp_path, capsys):
     result = tmp_path / "tiny.mat"
     result.write_text("2 2 minplus\n0 1\ninf 0\n", encoding="utf-8")
@@ -199,3 +236,10 @@ def test_solve_refuses_vertex_count_beyond_physical_memory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 1" in err and "1000000 vertices" in err and "GiB" in err
     assert "Traceback" not in err
+
+
+def test_bench_refuses_sizes_beyond_physical_memory(capsys):
+    assert entrypoint(["bench", "--sizes", "4,1000000", "--reps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 1000000 vertices need ") and "GiB" in captured.err
