@@ -16,7 +16,6 @@ import sys
 from .apsp import Algorithm, DistanceMatrix, apsp_by_squaring, find_apsp_violation, floyd_warshall
 from .bench import BenchAlgorithm, BenchConfig, emit_csv, run_benchmark
 from .graph_io import (
-    ParseError,
     SentinelConvention,
     edge_list_to_text,
     graph_to_matrix,
@@ -25,13 +24,8 @@ from .graph_io import (
     parse_edge_list,
     parse_matrix,
 )
-from .matrix import (
-    DimensionMismatch,
-    SemiringMismatch,
-    TropicalMatrix,
-    available_parallelism,
-    tile_plan,
-)
+from .matrix import TropicalMatrix, available_parallelism, tile_plan
+from .semiring import SemiringKind
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,12 +39,18 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _write_text(path: "str | None", text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _write_text(path: "str | None", text: str) -> int:
+    """Write text to path (stdout when None) and return the exit code."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def _sniff_format(text: str, sentinel: SentinelConvention) -> str:
@@ -62,14 +62,10 @@ def _sniff_format(text: str, sentinel: SentinelConvention) -> str:
     """
     if sentinel is not SentinelConvention.INF_TOKEN:
         return "matrix"
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) == 3 and tokens[2].lower() in ("minplus", "maxplus"):
-            return "matrix"
-        return "edges"
+    kinds = [kind.value for kind in SemiringKind]
+    for tokens in map(str.split, text.splitlines()):
+        if tokens and not tokens[0].startswith("#"):
+            return "matrix" if len(tokens) == 3 and tokens[2].lower() in kinds else "edges"
     return "edges"
 
 
@@ -97,19 +93,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         adj = _load_adjacency(text, args.format, SentinelConvention(args.sentinel))
         report = _solve(adj, args.algorithm, args.workers)
-    except (ParseError, DimensionMismatch, SemiringMismatch, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if report.negative_cycle:
         print("warning: input contains a negative cycle; distances are not shortest paths", file=sys.stderr)
         if args.strict:
             return EXIT_NEGATIVE_CYCLE
-    try:
-        _write_text(args.out, matrix_to_text(report.distances.dist))
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    return _write_text(args.out, matrix_to_text(report.distances.dist))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -123,7 +114,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         adj = _load_adjacency(graph_text, args.format, SentinelConvention(args.sentinel))
         dist = parse_matrix(result_text)
         violation = find_apsp_violation(adj, DistanceMatrix.from_matrix(dist))
-    except (ParseError, DimensionMismatch, SemiringMismatch, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if violation is None:
@@ -141,19 +132,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
         return EXIT_IO
     try:
         adj = _load_adjacency(text, args.format, SentinelConvention(args.sentinel))
-        if args.to == "edges":
-            out_text = edge_list_to_text(matrix_to_graph(adj))
-        else:
-            out_text = matrix_to_text(adj)
-    except (ParseError, DimensionMismatch, SemiringMismatch, ValueError) as exc:
+        out_text = matrix_to_text(adj) if args.to == "matrix" else edge_list_to_text(matrix_to_graph(adj))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        _write_text(args.out, out_text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    return _write_text(args.out, out_text)
 
 
 def _parse_int_list(text: str, what: str) -> "tuple[int, ...]":

@@ -56,39 +56,51 @@ class SentinelConvention(Enum):
             ) from None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Graph:
-    """Directed weighted graph with finite weights.
-
-    Edges are normalized at construction: duplicates of one (src, dst) pair
-    keep the minimum weight, and the list is sorted by (src, dst) so equal
-    graphs compare equal.
-    """
+    """Directed graph on n vertices, built from (src, dst, weight) triples or
+    an (m, 3) array and held as three read-only columns: `src`, `dst` (int64)
+    and finite `weight` (float64), sorted by (src, dst) with each pair once at
+    its minimum weight and -0.0 read as 0.0, so equal graphs compare equal."""
 
     n: int
-    edges: "tuple[tuple[int, int, float], ...]"
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
-        best: "dict[tuple[int, int], float]" = {}
-        for src, dst, weight in self.edges:
-            if not (0 <= src < self.n) or not (0 <= dst < self.n):
-                raise ValueError(f"edge ({src}, {dst}) out of range for n={self.n}")
-            w = float(weight)
-            if math.isnan(w) or math.isinf(w):
-                raise ValueError(f"edge ({src}, {dst}) weight must be finite, got {w!r}")
-            if w == 0.0:
-                w = 0.0
-            key = (int(src), int(dst))
-            if key not in best or w < best[key]:
-                best[key] = w
-        normalized = tuple((s, d, best[(s, d)]) for s, d in sorted(best))
-        object.__setattr__(self, "edges", normalized)
+    def __init__(self, n: int, edges: object) -> None:
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+        table = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
+        ends, weight = table[:, :2], table[:, 2] + 0.0  # + 0.0 turns -0.0 into 0.0
+        ok = ((ends >= 0) & (ends < n) & (ends == np.trunc(ends))).all(axis=1) & np.isfinite(weight)
+        if not ok.all():
+            raise ValueError(f"edge {table[ok.argmin()].tolist()} needs vertices in 0..{n - 1} and a finite weight")
+        src, dst = ends.astype(np.int64).T
+        order = np.lexsort((weight, dst, src))  # by (src, dst), lightest first
+        keep = order[(np.diff(src[order], prepend=-1) != 0) | (np.diff(dst[order], prepend=-1) != 0)]
+        object.__setattr__(self, "n", n)
+        for name, column in (("src", src[keep]), ("dst", dst[keep]), ("weight", weight[keep])):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @property
+    def edges(self) -> "tuple[tuple[int, int, float], ...]":
+        """The edges as (src, dst, weight) tuples, in (src, dst) order."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.src.size
+
+    def _key(self) -> "tuple[int, bytes, bytes, bytes]":
+        return self.n, self.src.tobytes(), self.dst.tobytes(), self.weight.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _content_lines(text: str) -> "list[tuple[int, str]]":
@@ -177,7 +189,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(body) != m:
         raise ParseError(f"header promises {m} edges but file has {len(body)} edge lines", header_no)
 
-    edges = []
+    srcs, dsts, weights = [], [], []
     for line_no, line in body:
         tokens = line.split()
         if len(tokens) != 3:
@@ -189,27 +201,25 @@ def parse_edge_list(text: str) -> Graph:
         weight = _parse_weight(tokens[2], line_no)
         if weight == math.inf:
             raise ParseError("edge weights must be finite; omit the edge instead of `inf`", line_no)
-        if src == dst and weight >= 0.0:
-            continue
-        edges.append((src, dst, weight))
-    return Graph(n=n, edges=tuple(edges))
+        srcs.append(src)
+        dsts.append(dst)
+        weights.append(weight)
+    table = np.array([srcs, dsts, weights]).T
+    return Graph(n, table[(table[:, 0] != table[:, 1]) | (table[:, 2] < 0.0)])
 
 
 def edge_list_to_text(g: Graph) -> str:
     """Inverse of parse_edge_list on normalized graphs."""
-    text = (lambda w: str(int(w))) if all(w.is_integer() for _, _, w in g.edges) else repr
-    rows = [f"{g.n} {g.edge_count}"]
-    rows.extend(f"{s} {d} {text(w)}" for s, d, w in g.edges)
-    return "\n".join(rows) + "\n"
+    text = (lambda w: str(int(w))) if (g.weight == np.trunc(g.weight)).all() else repr
+    rows = map("{} {} {}".format, g.src.tolist(), g.dst.tolist(), map(text, g.weight.tolist()))
+    return "\n".join([f"{g.n} {g.edge_count}", *rows]) + "\n"
 
 
 def graph_to_matrix(g: Graph) -> TropicalMatrix:
     """Min-plus adjacency matrix: diagonal 0, absent edges Infinity."""
     arr = np.full((g.n, g.n), math.inf)
     np.fill_diagonal(arr, 0.0)
-    if g.edges:
-        src, dst, weight = map(np.array, zip(*g.edges))  # Graph holds each (src, dst) pair once
-        arr[src, dst] = np.minimum(arr[src, dst], weight)
+    arr[g.src, g.dst] = np.minimum(arr[g.src, g.dst], g.weight)  # Graph holds each (src, dst) pair once
     return TropicalMatrix(SemiringKind.MIN_PLUS, arr)
 
 
@@ -226,7 +236,7 @@ def matrix_to_graph(m: TropicalMatrix) -> Graph:
     keep = np.isfinite(m.data)
     np.fill_diagonal(keep, np.diagonal(m.data) < 0.0)
     src, dst = np.nonzero(keep)
-    return Graph(n=m.n_rows, edges=tuple(zip(src.tolist(), dst.tolist(), m.data[src, dst].tolist())))
+    return Graph(m.n_rows, np.column_stack((src, dst, m.data[src, dst])))
 
 
 def matrix_to_text(m: TropicalMatrix) -> str:
@@ -248,6 +258,7 @@ def _parse_native_matrix(lines: "list[tuple[int, str]]") -> TropicalMatrix:
         raise ParseError(f"matrix dimensions must be positive, got {n_rows}x{n_cols}", header_no)
     try:
         kind = SemiringKind.from_token(header[2])
+        require_dense_fits(max(n_rows, n_cols))
     except ValueError as exc:
         raise ParseError(str(exc), header_no) from None
     body = lines[1:]
@@ -258,6 +269,10 @@ def _parse_native_matrix(lines: "list[tuple[int, str]]") -> TropicalMatrix:
 
 def _parse_grid_matrix(lines: "list[tuple[int, str]]", sentinel: SentinelConvention) -> TropicalMatrix:
     n = len(lines[0][1].split())
+    try:
+        require_dense_fits(n)
+    except ValueError as exc:
+        raise ParseError(str(exc), lines[0][0]) from None
     if len(lines) != n:
         raise ParseError(
             f"grid is {len(lines)} rows of {n} entries, expected a square matrix", lines[0][0]
@@ -276,7 +291,8 @@ def parse_matrix(text: str, sentinel: SentinelConvention = SentinelConvention.IN
 
     INF_TOKEN expects the native headered format; the two legacy
     conventions expect a bare square numeric grid and produce a min-plus
-    matrix with sentinels normalized to Infinity.
+    matrix with sentinels normalized to Infinity.  A header (or a grid's
+    first row) whose larger dimension fails require_dense_fits is refused.
     """
     lines = _content_lines(text)
     if not lines:
@@ -316,4 +332,4 @@ def random_graph(
         weights = rng.integers(int(low), int(high) + 1, size=src.size).astype(np.float64)
     else:
         weights = rng.uniform(low, high, size=src.size)
-    return Graph(n=n, edges=tuple(zip(src.tolist(), dst.tolist(), weights.tolist())))
+    return Graph(n, np.column_stack((src, dst, weights)))

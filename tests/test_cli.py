@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import btas
 from btas.cli import entrypoint
 from btas.graph_io import edge_list_to_text, random_graph
 
@@ -220,10 +223,13 @@ def test_bench_rejects_bad_instance_arguments(capsys, flags):
 
 
 def test_module_invocation(graph_file):
+    # run the btas under test, also when only pytest's pythonpath put it on sys.path
+    env = {**os.environ, "PYTHONPATH": str(Path(btas.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "btas", "solve", str(graph_file)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == SOLVED
@@ -236,6 +242,33 @@ def test_solve_refuses_vertex_count_beyond_physical_memory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 1" in err and "1000000 vertices" in err and "GiB" in err
     assert "Traceback" not in err
+
+
+# Matrix inputs whose dense size no machine holds: a 24-byte header promising
+# 10^10 columns, and a 400 KB bare grid whose first row has 100000 entries.
+HUGE_HEADER = "1 10000000000 minplus\n1\n"
+HUGE_GRID = "\n" + "1 " * 99999 + "1\n" + "1\n" * 99999
+
+
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        (["solve", "{file}"], HUGE_HEADER, 1),
+        (["solve", "{file}", "--sentinel", "zero"], HUGE_GRID, 2),
+        (["verify", "{graph}", "{file}"], "# distances\n" + HUGE_HEADER, 2),
+        (["convert", "{file}", "--to", "edges"], HUGE_HEADER, 1),
+        (["convert", "{file}", "--sentinel", "zero"], HUGE_GRID, 2),
+    ],
+    ids=["solve-header", "solve-grid", "verify-result-header", "convert-header", "convert-grid"],
+)
+def test_matrix_readers_refuse_dense_sizes_beyond_physical_memory(graph_file, tmp_path, capsys, command, text, line):
+    huge = tmp_path / "huge.mat"
+    huge.write_text(text, encoding="utf-8")
+    argv = [arg.format(file=huge, graph=graph_file) for arg in command]
+    assert entrypoint(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line {line}: ") and "GiB" in captured.err
 
 
 def test_bench_refuses_sizes_beyond_physical_memory(capsys):

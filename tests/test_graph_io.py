@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import example, given
@@ -90,6 +91,53 @@ def test_graph_normalizes_duplicates_and_order():
     assert g.edges == ((0, 1, 2.0), (2, 1, 4.0))
 
 
+def test_graph_from_an_array_equals_graph_from_triples():
+    triples = ((2, 1, 4.0), (0, 1, 9.0), (0, 1, -0.0), (1, 0, 2.5))
+    from_array = Graph(3, np.array(triples))
+    assert from_array == Graph(3, triples)
+    assert hash(from_array) == hash(Graph(3, triples))
+    assert from_array.edges == ((0, 1, 0.0), (1, 0, 2.5), (2, 1, 4.0))
+    assert not np.signbit(from_array.weight).any()
+    assert [type(v) for v in from_array.edges[0]] == [int, int, float]
+
+
+@st.composite
+def vertex_count_and_triples(draw):
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan=False, allow_infinity=False))
+    return n, draw(st.lists(st.tuples(vertex, vertex, weight), max_size=25))
+
+
+@given(vertex_count_and_triples())
+def test_graph_normalizes_like_the_per_edge_loop(case):
+    n, triples = case
+    best = {}
+    for src, dst, weight in triples:
+        weight = 0.0 if weight == 0.0 else weight
+        if (src, dst) not in best or weight < best[(src, dst)]:
+            best[(src, dst)] = weight
+    want = tuple((src, dst, best[(src, dst)]) for src, dst in sorted(best))
+    assert repr(Graph(n, triples).edges) == repr(want)  # repr tells -0.0 from 0.0
+
+
+def test_graph_columns_are_typed_and_read_only():
+    g = Graph(3, ((0, 1, 1.0), (1, 2, 2.5)))
+    assert (g.src.dtype, g.dst.dtype, g.weight.dtype) == (np.int64, np.int64, np.float64)
+    for column in (g.src, g.dst, g.weight):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    for name in ("n", "src", "dst", "weight"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, getattr(g, name))
+
+
+def test_graph_rejects_edges_that_are_not_triples():
+    for edges in ((0, 1, 2.0), np.zeros((3, 2)), ((0.5, 1, 1.0),)):
+        with pytest.raises(ValueError):
+            Graph(3, edges)
+
+
 def test_edge_list_text_round_trip():
     g = Graph(4, ((0, 1, 1.0), (1, 2, 2.5), (3, 0, -2.0)))
     assert parse_edge_list(edge_list_to_text(g)) == g
@@ -110,6 +158,12 @@ def test_graph_to_matrix_empty_and_negative_loop():
 
 def test_matrix_graph_round_trip():
     g = Graph(4, ((0, 1, 1.0), (1, 2, 2.0), (3, 3, -5.0), (2, 0, 7.0)))
+    assert matrix_to_graph(graph_to_matrix(g)) == g
+
+
+def test_matrix_graph_round_trip_on_a_dense_random_graph():
+    g = random_graph(64, 1.0, (-5, 5), 20240611)
+    assert g.edge_count == 64 * 63
     assert matrix_to_graph(graph_to_matrix(g)) == g
 
 
