@@ -18,6 +18,7 @@ from .bench import BenchAlgorithm, BenchConfig, emit_csv, run_benchmark
 from .graph_io import (
     SentinelConvention,
     edge_list_to_text,
+    first_content_line,
     graph_to_matrix,
     matrix_to_graph,
     matrix_to_text,
@@ -63,10 +64,9 @@ def _sniff_format(text: str, sentinel: SentinelConvention) -> str:
     if sentinel is not SentinelConvention.INF_TOKEN:
         return "matrix"
     kinds = [kind.value for kind in SemiringKind]
-    for tokens in map(str.split, text.splitlines()):
-        if tokens and not tokens[0].startswith("#"):
-            return "matrix" if len(tokens) == 3 and tokens[2].lower() in kinds else "edges"
-    return "edges"
+    first = first_content_line(text)
+    tokens = [] if first is None else first[1][1].split()
+    return "matrix" if len(tokens) == 3 and tokens[2].lower() in kinds else "edges"
 
 
 def _load_adjacency(text: str, fmt: str, sentinel: SentinelConvention) -> TropicalMatrix:

@@ -12,12 +12,19 @@ and `1e309` all mean Infinity; NaN and -inf are refused.
 Legacy adjacency grids that mark "no edge" in-band (0 or -1) are read as
 bare n x n numeric grids under an explicit SentinelConvention; they refuse
 Infinity, and their sentinels are normalized to it, never guessed.
+
+The readers first try numpy's C tokenizer on the text after the header and
+check its result with array operations; when that path refuses the text,
+a per-line reader reads it again, and only that reader refuses input and
+names the bad line, so neither results nor messages depend on the path.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +35,9 @@ from .semiring import SemiringKind
 
 #: Generator family used by random_graph, recorded in benchmark metadata.
 RANDOM_FAMILY = "numpy-pcg64"
+
+#: Largest vertex count whose pair keys src * n + dst fit in int64.
+_MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
 
 
 class ParseError(ValueError):
@@ -69,18 +79,23 @@ class Graph:
     weight: np.ndarray
 
     def __init__(self, n: int, edges: object) -> None:
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+        if not isinstance(n, int) or not 1 <= n <= _MAX_VERTICES:
+            raise ValueError(f"vertex count must be an integer in 1..{_MAX_VERTICES}, got {n!r}")
         table = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
-        ends, weight = table[:, :2], table[:, 2] + 0.0  # + 0.0 turns -0.0 into 0.0
-        ok = ((ends >= 0) & (ends < n) & (ends == np.trunc(ends))).all(axis=1) & np.isfinite(weight)
+        columns = table.T.copy()  # contiguous src, dst and weight rows: much faster to check than table
+        ends, weight = columns[:2], columns[2]
+        weight += 0.0  # turns -0.0 into 0.0
+        ok = ((ends >= 0) & (ends < n) & (ends == np.trunc(ends))).all(axis=0) & np.isfinite(weight)
         if not ok.all():
             raise ValueError(f"edge {table[ok.argmin()].tolist()} needs vertices in 0..{n - 1} and a finite weight")
-        src, dst = ends.astype(np.int64).T
-        order = np.lexsort((weight, dst, src))  # by (src, dst), lightest first
-        keep = order[(np.diff(src[order], prepend=-1) != 0) | (np.diff(dst[order], prepend=-1) != 0)]
+        src, dst = ends.astype(np.int64)
+        key = src * n + dst  # orders pairs by (src, dst); n <= _MAX_VERTICES keeps it in int64
+        order = np.argsort(key)
+        key, weight = key[order], weight[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))  # where each pair's run starts
+        src, dst = np.divmod(key[first], n)
         object.__setattr__(self, "n", n)
-        for name, column in (("src", src[keep]), ("dst", dst[keep]), ("weight", weight[keep])):
+        for name, column in (("src", src), ("dst", dst), ("weight", np.minimum.reduceat(weight, first))):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -103,10 +118,61 @@ class Graph:
         return hash(self._key())
 
 
+def _is_content(line: str) -> bool:
+    return line.lstrip()[:1] not in ("", "#")
+
+
 def _content_lines(text: str) -> "list[tuple[int, str]]":
     """(line_no, line) for every line that is neither blank nor a `#` comment."""
-    numbered = enumerate(text.splitlines(), start=1)
-    return [(line_no, line) for line_no, line in numbered if line.lstrip()[:1] not in ("", "#")]
+    return [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1) if _is_content(line)]
+
+
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines() ends a line
+_LINE = re.compile(f"([^{_LINE_BREAKS}]*)(?:\r\n|[{_LINE_BREAKS}]|\\Z)")
+
+
+def first_content_line(text: str) -> "tuple[int, re.Match[str]] | None":
+    """The first line of text that is neither blank nor a `#` comment, found
+    without splitting the rest: (line_no, match) with the line in match[1],
+    numbered as str.splitlines() numbers it, and its line break ending at
+    match.end(); None when there is no such line."""
+    pos, line_no = 0, 1
+    while pos < len(text):
+        line = _LINE.match(text, pos)
+        if _is_content(line[1]):
+            return line_no, line
+        pos, line_no = line.end(), line_no + 1
+    return None
+
+
+# On ASCII text numpy's tokenizer and str.splitlines()/str.split() part ways
+# only at these: numpy strips a `#` comment mid-line and reads \v and \f as
+# blanks, while splitlines() breaks lines at \v, \f and \x1c-\x1e and split()
+# breaks tokens at \x1c-\x1f.
+_NOT_SPLIT_ALIKE = ("#", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
+_EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
+
+
+def _fast_rows(body: str, dtype: object, ndmin: int) -> "np.ndarray | None":
+    """The rows of body as numpy's C tokenizer reads them, or None where it
+    refuses them or might see other lines or tokens than the line readers.
+    Callers check the values and fall back to a line reader on None, so
+    that reader alone judges (and names the line of) anything refused."""
+    if not body or body.isspace() or not body.isascii() or any(c in body for c in _NOT_SPLIT_ALIKE):
+        return None  # (numpy warns on a body without rows)
+    try:
+        return np.loadtxt(io.StringIO(body), dtype=dtype, ndmin=ndmin)
+    except ValueError:
+        return None
+
+
+def _fast_grid(body: str, n_rows: int, n_cols: int, finite: bool) -> "np.ndarray | None":
+    """_fast_rows for an n_rows x n_cols float64 grid with no NaN or -inf
+    (no +inf either when finite), else None."""
+    grid = _fast_rows(body, np.float64, ndmin=2)
+    if grid is None or grid.shape != (n_rows, n_cols):
+        return None
+    return grid if (np.isfinite(grid) if finite else grid > -math.inf).all() else None
 
 
 def _parse_int(token: str, what: str, line_no: int) -> int:
@@ -169,10 +235,11 @@ def parse_edge_list(text: str) -> Graph:
     Self-loops with non-negative weight are dropped (self-distance is 0 by
     definition); negative self-loops are kept, they are negative cycles.
     """
-    lines = _content_lines(text)
-    if not lines:
+    first = first_content_line(text)
+    if first is None:
         raise ParseError("empty input, expected an `n m` header")
-    header_no, header = lines[0][0], lines[0][1].split()
+    header_no, header_line = first
+    header = header_line[1].split()
     if len(header) != 2:
         raise ParseError(f"expected header `n m`, got {' '.join(header)!r}", header_no)
     n = _parse_int(header[0], "vertex count", header_no)
@@ -185,10 +252,18 @@ def parse_edge_list(text: str) -> Graph:
         require_dense_fits(n)
     except ValueError as exc:
         raise ParseError(str(exc), header_no) from None
-    body = lines[1:]
+    rows = _fast_rows(text[header_line.end():], _EDGE_ROW, ndmin=1)
+    if rows is not None and rows.size == m:
+        src, dst, weight = rows["src"], rows["dst"], rows["weight"]
+        if ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)).all() and np.isfinite(weight).all():
+            return _edge_graph(n, src, dst, weight)
+    return _edge_graph(n, *_read_edges(_content_lines(text)[1:], n, m, header_no))
+
+
+def _read_edges(body: "list[tuple[int, str]]", n: int, m: int, header_no: int) -> "tuple[np.ndarray, ...]":
+    """The line reader for edge lines: src, dst and weight columns; the first bad line raises."""
     if len(body) != m:
         raise ParseError(f"header promises {m} edges but file has {len(body)} edge lines", header_no)
-
     srcs, dsts, weights = [], [], []
     for line_no, line in body:
         tokens = line.split()
@@ -204,8 +279,13 @@ def parse_edge_list(text: str) -> Graph:
         srcs.append(src)
         dsts.append(dst)
         weights.append(weight)
-    table = np.array([srcs, dsts, weights]).T
-    return Graph(n, table[(table[:, 0] != table[:, 1]) | (table[:, 2] < 0.0)])
+    return np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64), np.array(weights)
+
+
+def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> Graph:
+    """The Graph of these edge columns without their non-negative self-loops."""
+    keep = (src != dst) | (weight < 0.0)
+    return Graph(n, np.column_stack((src[keep], dst[keep], weight[keep])))
 
 
 def edge_list_to_text(g: Graph) -> str:
@@ -248,8 +328,8 @@ def matrix_to_text(m: TropicalMatrix) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _parse_native_matrix(lines: "list[tuple[int, str]]") -> TropicalMatrix:
-    header_no, header = lines[0][0], lines[0][1].split()
+def _parse_native_matrix(text: str, header_no: int, header_line: "re.Match[str]") -> TropicalMatrix:
+    header = header_line[1].split()
     if len(header) != 3:
         raise ParseError(f"expected header `n_rows n_cols kind`, got {' '.join(header)!r}", header_no)
     n_rows = _parse_int(header[0], "row count", header_no)
@@ -261,23 +341,29 @@ def _parse_native_matrix(lines: "list[tuple[int, str]]") -> TropicalMatrix:
         require_dense_fits(max(n_rows, n_cols))
     except ValueError as exc:
         raise ParseError(str(exc), header_no) from None
-    body = lines[1:]
-    if len(body) != n_rows:
-        raise ParseError(f"header promises {n_rows} rows but file has {len(body)}", header_no)
-    return TropicalMatrix(kind, _read_rows(body, n_cols, finite=False))
+    grid = _fast_grid(text[header_line.end():], n_rows, n_cols, finite=False)
+    if grid is None:
+        body = _content_lines(text)[1:]
+        if len(body) != n_rows:
+            raise ParseError(f"header promises {n_rows} rows but file has {len(body)}", header_no)
+        grid = _read_rows(body, n_cols, finite=False)
+    return TropicalMatrix(kind, grid)
 
 
-def _parse_grid_matrix(lines: "list[tuple[int, str]]", sentinel: SentinelConvention) -> TropicalMatrix:
-    n = len(lines[0][1].split())
+def _parse_grid_matrix(
+    text: str, first_no: int, first_line: "re.Match[str]", sentinel: SentinelConvention
+) -> TropicalMatrix:
+    n = len(first_line[1].split())
     try:
         require_dense_fits(n)
     except ValueError as exc:
-        raise ParseError(str(exc), lines[0][0]) from None
-    if len(lines) != n:
-        raise ParseError(
-            f"grid is {len(lines)} rows of {n} entries, expected a square matrix", lines[0][0]
-        )
-    grid = _read_rows(lines, n, finite=True)
+        raise ParseError(str(exc), first_no) from None
+    grid = _fast_grid(text[first_line.start():], n, n, finite=True)
+    if grid is None:
+        lines = _content_lines(text)
+        if len(lines) != n:
+            raise ParseError(f"grid is {len(lines)} rows of {n} entries, expected a square matrix", first_no)
+        grid = _read_rows(lines, n, finite=True)
     if sentinel is SentinelConvention.ZERO_MEANS_NO_EDGE:
         # diagonal zeros are genuine self-distances, not sentinels
         grid[(grid == 0.0) & ~np.eye(n, dtype=bool)] = math.inf
@@ -294,12 +380,12 @@ def parse_matrix(text: str, sentinel: SentinelConvention = SentinelConvention.IN
     matrix with sentinels normalized to Infinity.  A header (or a grid's
     first row) whose larger dimension fails require_dense_fits is refused.
     """
-    lines = _content_lines(text)
-    if not lines:
+    first = first_content_line(text)
+    if first is None:
         raise ParseError("empty input, expected a matrix")
     if sentinel is SentinelConvention.INF_TOKEN:
-        return _parse_native_matrix(lines)
-    return _parse_grid_matrix(lines, sentinel)
+        return _parse_native_matrix(text, *first)
+    return _parse_grid_matrix(text, *first, sentinel)
 
 
 def random_graph(

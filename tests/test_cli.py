@@ -4,10 +4,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import btas
-from btas.cli import entrypoint
-from btas.graph_io import edge_list_to_text, random_graph
+from btas.cli import _sniff_format, entrypoint
+from btas.graph_io import SentinelConvention, edge_list_to_text, random_graph
 
 THREE_NODE = "3 3\n0 1 1\n1 2 2\n0 2 5\n"
 SOLVED = "3 3 minplus\n0 1 3\ninf 0 2\ninf inf 0\n"
@@ -276,3 +278,15 @@ def test_bench_refuses_sizes_beyond_physical_memory(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: 1000000 vertices need ") and "GiB" in captured.err
+
+
+@given(st.lists(st.sampled_from(["2", "minplus", "MaxPlus", "boolean", "#", " ", "\t", "\n", "\r", "\r\n", "\v",
+                                 "\x1c", "\x1f", "\x85", "\u2028"]), max_size=12).map("".join))
+def test_sniff_decides_as_when_it_split_the_whole_text(text):
+    kinds = ["minplus", "maxplus"]
+    want = "edges"
+    for tokens in map(str.split, text.splitlines()):  # the rule before the sniff stopped at the first content line
+        if tokens and not tokens[0].startswith("#"):
+            want = "matrix" if len(tokens) == 3 and tokens[2].lower() in kinds else "edges"
+            break
+    assert _sniff_format(text, SentinelConvention.INF_TOKEN) == want

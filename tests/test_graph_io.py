@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from btas import graph_io
 from btas.graph_io import (
     RANDOM_FAMILY,
     Graph,
     ParseError,
     SentinelConvention,
     edge_list_to_text,
+    first_content_line,
     graph_to_matrix,
     matrix_to_graph,
     matrix_to_text,
@@ -410,3 +413,90 @@ def test_readers_match_the_per_token_oracle_on_matrix_soup(case):
 @example("3 1\n1 2 nan\n")
 def test_readers_match_the_per_token_oracle_on_edge_list_soup(text):
     assert _outcome(_read_edge_list, text) == _outcome(oracles.read_edge_list, text)
+
+
+# Rows on which numpy's tokenizer, str.splitlines()/str.split() and
+# float()/int() do not all agree; each replaces the middle one of three rows.
+ODD_ROWS = [
+    "1 2 -3 # x",
+    "1 2\f-3",
+    "1 2\v-3",
+    "1 2\x1c-3",
+    "1 2\u2028-3",
+    "1 2 -3\r2 0 1",
+    "1 2 nan",
+    "1 2 1e309",
+    "1 2 1_000",
+    "1 2 +5",
+    "1 2 \u0663",
+    "9223372036854775808 2 -3",
+    "1.0 2 -3",
+]
+ROWS = ["0 1 5", "1 2 -3", "2 0 2.5"]
+
+
+def _dense_grid_rows(n):
+    grid = np.random.default_rng(n).integers(-9, 100, size=(n, n))
+    return [" ".join(map(str, row)) for row in grid.tolist()]
+
+
+# reader -> (text for rows, the reader's outcome, the oracle's outcome, rows of valid files)
+FAST_READERS = {
+    "edge_list": (
+        lambda rows: "\n".join([f"192 {len(rows)}", *rows]) + "\n",
+        lambda text: _outcome(_read_edge_list, text),
+        lambda text: _outcome(oracles.read_edge_list, text),
+        [["0 1 5"], edge_list_to_text(random_graph(192, 0.5, (1, 100), 7)).splitlines()[1:]],
+    ),
+    "matrix": (
+        lambda rows: "\n".join([f"{len(rows)} {len(rows[0].split())} minplus", *rows]) + "\n",
+        lambda text: _outcome(_read_matrix, text, "inf"),
+        lambda text: _outcome(oracles.read_matrix, text, "inf"),
+        [["5"], matrix_to_text(graph_to_matrix(random_graph(192, 0.5, (-5, 100), 7))).splitlines()[1:]],
+    ),
+    "zero-grid": (
+        lambda rows: "\n".join(rows) + "\n",
+        lambda text: _outcome(_read_matrix, text, "zero"),
+        lambda text: _outcome(oracles.read_matrix, text, "zero"),
+        [["5"], _dense_grid_rows(192)],
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", FAST_READERS)
+def test_fast_readers_agree_with_the_per_token_oracle(reader, monkeypatch):
+    text, read, oracle, valid_files = FAST_READERS[reader]
+    for row in ODD_ROWS:
+        odd = text([ROWS[0], row, ROWS[2]])
+        assert read(odd) == oracle(odd), repr(row)
+
+    def line_reader_must_not_run(text):
+        raise AssertionError("a valid comment-free file left the fast path")
+
+    monkeypatch.setattr(graph_io, "_content_lines", line_reader_must_not_run)
+    for rows in valid_files:
+        valid = text(rows)
+        assert read(valid) == oracle(valid) != ("error", None)
+        crlf = valid.replace("\n", "\r\n")
+        assert read(crlf) == oracle(crlf)
+
+
+def test_parse_edge_list_peak_memory_is_bounded():
+    text = edge_list_to_text(random_graph(512, 0.5, (1, 100), 7))  # about 131k edges, 1.3 MiB
+    tracemalloc.start()
+    try:
+        parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@given(st.lists(st.sampled_from(["0", " ", "\t", "#", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d",
+                                 "\x1e", "\x1f", "\x85", "\u2028", "\u2029", "\xa0"]), max_size=12).map("".join))
+def test_first_content_line_numbers_lines_like_splitlines(text):
+    first = first_content_line(text)
+    lines = graph_io._content_lines(text)
+    assert (None if first is None else (first[0], first[1][1])) == (lines[0] if lines else None)
+    if first is not None:
+        assert text[first[1].end():].splitlines() == text.splitlines()[first[0]:]
