@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from btas import apsp
 from btas.apsp import (
     Algorithm,
     DistanceMatrix,
@@ -50,6 +51,22 @@ def test_three_node_example_floyd_warshall():
     assert not report.negative_cycle
     assert report.multiplications_performed == 0
     assert_matches_enumeration(THREE_NODE, report)
+
+
+def test_floyd_warshall_candidate_buffer_starts_on_a_cache_line(monkeypatch):
+    addresses = []
+
+    def recording(size):
+        buf = aligned_empty(size)
+        addresses.append((size, buf.ctypes.data % 64))
+        return buf
+
+    aligned_empty = apsp._aligned_empty
+    adj = graph_to_matrix(random_graph(24, 0.3, (1, 9), 5))
+    want = floyd_warshall(adj).distances.dist.tobytes()
+    monkeypatch.setattr(apsp, "_aligned_empty", recording)
+    assert floyd_warshall(adj).distances.dist.tobytes() == want
+    assert addresses == [(24 * 24, 0)]
 
 
 def test_three_node_example_squaring_agrees():
