@@ -146,9 +146,9 @@ def first_content_line(text: str) -> "tuple[int, re.Match[str]] | None":
 
 
 # On ASCII text numpy's tokenizer and str.splitlines()/str.split() part ways
-# only at these: numpy strips a `#` comment mid-line and reads \v and \f as
-# blanks, while splitlines() breaks lines at \v, \f and \x1c-\x1e and split()
-# breaks tokens at \x1c-\x1f.
+# only at these: numpy strips a `#` comment mid-line, and it reads \v, \f and
+# \x1c-\x1f as blanks inside a line (as split() does) where splitlines() ends
+# the line at all but \x1f.
 _NOT_SPLIT_ALIKE = ("#", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
 _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 

@@ -440,25 +440,25 @@ def _dense_grid_rows(n):
     return [" ".join(map(str, row)) for row in grid.tolist()]
 
 
-# reader -> (text for rows, the reader's outcome, the oracle's outcome, rows of valid files)
+# reader -> (text for rows, the reader's outcome, the oracle's outcome, rows of valid files, made when used)
 FAST_READERS = {
     "edge_list": (
         lambda rows: "\n".join([f"192 {len(rows)}", *rows]) + "\n",
         lambda text: _outcome(_read_edge_list, text),
         lambda text: _outcome(oracles.read_edge_list, text),
-        [["0 1 5"], edge_list_to_text(random_graph(192, 0.5, (1, 100), 7)).splitlines()[1:]],
+        lambda: [["0 1 5"], edge_list_to_text(random_graph(192, 0.5, (1, 100), 7)).splitlines()[1:]],
     ),
     "matrix": (
         lambda rows: "\n".join([f"{len(rows)} {len(rows[0].split())} minplus", *rows]) + "\n",
         lambda text: _outcome(_read_matrix, text, "inf"),
         lambda text: _outcome(oracles.read_matrix, text, "inf"),
-        [["5"], matrix_to_text(graph_to_matrix(random_graph(192, 0.5, (-5, 100), 7))).splitlines()[1:]],
+        lambda: [["5"], matrix_to_text(graph_to_matrix(random_graph(192, 0.5, (-5, 100), 7))).splitlines()[1:]],
     ),
     "zero-grid": (
         lambda rows: "\n".join(rows) + "\n",
         lambda text: _outcome(_read_matrix, text, "zero"),
         lambda text: _outcome(oracles.read_matrix, text, "zero"),
-        [["5"], _dense_grid_rows(192)],
+        lambda: [["5"], _dense_grid_rows(192)],
     ),
 }
 
@@ -474,7 +474,7 @@ def test_fast_readers_agree_with_the_per_token_oracle(reader, monkeypatch):
         raise AssertionError("a valid comment-free file left the fast path")
 
     monkeypatch.setattr(graph_io, "_content_lines", line_reader_must_not_run)
-    for rows in valid_files:
+    for rows in valid_files():
         for valid in (text(rows), text(rows).replace("\n", "\r\n")):
             outcome = read(valid)
             assert outcome[0] == "ok" and outcome == oracle(valid)
