@@ -65,7 +65,7 @@ def _sniff_format(text: str, sentinel: SentinelConvention) -> str:
         return "matrix"
     kinds = [kind.value for kind in SemiringKind]
     first = first_content_line(text)
-    tokens = [] if first is None else first[1][1].split()
+    tokens = [] if first is None else first[1].split()
     return "matrix" if len(tokens) == 3 and tokens[2].lower() in kinds else "edges"
 
 

@@ -25,6 +25,7 @@ import io
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -131,17 +132,17 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines() 
 _LINE = re.compile(f"([^{_LINE_BREAKS}]*)(?:\r\n|[{_LINE_BREAKS}]|\\Z)")
 
 
-def first_content_line(text: str) -> "tuple[int, re.Match[str]] | None":
+def first_content_line(text: str) -> "tuple[int, str, int, int] | None":
     """The first line of text that is neither blank nor a `#` comment, found
-    without splitting the rest: (line_no, match) with the line in match[1],
-    numbered as str.splitlines() numbers it, and its line break ending at
-    match.end(); None when there is no such line."""
+    without splitting the rest: (line_no, line, start, end), numbered as
+    str.splitlines() numbers it, where the line begins at text[start] and
+    the text after its line break at text[end]; None when there is no such line."""
     pos, line_no = 0, 1
     while pos < len(text):
-        line = _LINE.match(text, pos)
-        if _is_content(line[1]):
-            return line_no, line
-        pos, line_no = line.end(), line_no + 1
+        match = _LINE.match(text, pos)
+        if _is_content(match[1]):
+            return line_no, match[1], pos, match.end()
+        pos, line_no = match.end(), line_no + 1
     return None
 
 
@@ -157,13 +158,17 @@ def _fast_rows(body: str, dtype: object, ndmin: int) -> "np.ndarray | None":
     """The rows of body as numpy's C tokenizer reads them, or None where it
     refuses them or might see other lines or tokens than the line readers.
     Callers check the values and fall back to a line reader on None, so
-    that reader alone judges (and names the line of) anything refused."""
+    that reader alone judges (and names the line of) anything refused.
+    Any warning refuses too: a value numpy reads only with a warning (such
+    as a deprecated conversion) is not one known to read as the line readers read it."""
     if not body or body.isspace() or not body.isascii() or any(c in body for c in _NOT_SPLIT_ALIKE):
         return None  # (numpy warns on a body without rows)
-    try:
-        return np.loadtxt(io.StringIO(body), dtype=dtype, ndmin=ndmin)
-    except ValueError:
-        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(io.StringIO(body), dtype=dtype, ndmin=ndmin)
+        except (ValueError, Warning):
+            return None
 
 
 def _fast_grid(body: str, n_rows: int, n_cols: int, finite: bool) -> "np.ndarray | None":
@@ -238,8 +243,8 @@ def parse_edge_list(text: str) -> Graph:
     first = first_content_line(text)
     if first is None:
         raise ParseError("empty input, expected an `n m` header")
-    header_no, header_line = first
-    header = header_line[1].split()
+    header_no, header_line, _, body_start = first
+    header = header_line.split()
     if len(header) != 2:
         raise ParseError(f"expected header `n m`, got {' '.join(header)!r}", header_no)
     n = _parse_int(header[0], "vertex count", header_no)
@@ -252,7 +257,7 @@ def parse_edge_list(text: str) -> Graph:
         require_dense_fits(n)
     except ValueError as exc:
         raise ParseError(str(exc), header_no) from None
-    rows = _fast_rows(text[header_line.end():], _EDGE_ROW, ndmin=1)
+    rows = _fast_rows(text[body_start:], _EDGE_ROW, ndmin=1)
     if rows is not None and rows.size == m:
         src, dst, weight = rows["src"], rows["dst"], rows["weight"]
         if ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)).all() and np.isfinite(weight).all():
@@ -328,8 +333,8 @@ def matrix_to_text(m: TropicalMatrix) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _parse_native_matrix(text: str, header_no: int, header_line: "re.Match[str]") -> TropicalMatrix:
-    header = header_line[1].split()
+def _parse_native_matrix(text: str, header_no: int, header_line: str, body_start: int) -> TropicalMatrix:
+    header = header_line.split()
     if len(header) != 3:
         raise ParseError(f"expected header `n_rows n_cols kind`, got {' '.join(header)!r}", header_no)
     n_rows = _parse_int(header[0], "row count", header_no)
@@ -341,7 +346,7 @@ def _parse_native_matrix(text: str, header_no: int, header_line: "re.Match[str]"
         require_dense_fits(max(n_rows, n_cols))
     except ValueError as exc:
         raise ParseError(str(exc), header_no) from None
-    grid = _fast_grid(text[header_line.end():], n_rows, n_cols, finite=False)
+    grid = _fast_grid(text[body_start:], n_rows, n_cols, finite=False)
     if grid is None:
         body = _content_lines(text)[1:]
         if len(body) != n_rows:
@@ -351,14 +356,14 @@ def _parse_native_matrix(text: str, header_no: int, header_line: "re.Match[str]"
 
 
 def _parse_grid_matrix(
-    text: str, first_no: int, first_line: "re.Match[str]", sentinel: SentinelConvention
+    text: str, first_no: int, first_line: str, first_start: int, sentinel: SentinelConvention
 ) -> TropicalMatrix:
-    n = len(first_line[1].split())
+    n = len(first_line.split())
     try:
         require_dense_fits(n)
     except ValueError as exc:
         raise ParseError(str(exc), first_no) from None
-    grid = _fast_grid(text[first_line.start():], n, n, finite=True)
+    grid = _fast_grid(text[first_start:], n, n, finite=True)
     if grid is None:
         lines = _content_lines(text)
         if len(lines) != n:
@@ -383,9 +388,10 @@ def parse_matrix(text: str, sentinel: SentinelConvention = SentinelConvention.IN
     first = first_content_line(text)
     if first is None:
         raise ParseError("empty input, expected a matrix")
+    line_no, line, start, end = first
     if sentinel is SentinelConvention.INF_TOKEN:
-        return _parse_native_matrix(text, *first)
-    return _parse_grid_matrix(text, *first, sentinel)
+        return _parse_native_matrix(text, line_no, line, end)
+    return _parse_grid_matrix(text, line_no, line, start, sentinel)
 
 
 def random_graph(

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import oracles
@@ -431,6 +432,8 @@ ODD_ROWS = [
     "1 2 \u0663",
     "9223372036854775808 2 -3",
     "1.0 2 -3",
+    "1.5 2 -3",
+    "1 2 0x1p3",
 ]
 ROWS = ["0 1 5", "1 2 -3", "2 0 2.5"]
 
@@ -480,6 +483,16 @@ def test_fast_readers_agree_with_the_per_token_oracle(reader, monkeypatch):
             assert outcome[0] == "ok" and outcome == oracle(valid)
 
 
+def test_fast_path_refuses_what_numpy_reads_only_with_a_warning(monkeypatch):
+    def truncating_loadtxt(*args, **kwargs):  # a loadtxt that reads `1.5` as vertex 1 and only warns
+        warnings.warn("conversion of a float to an integer is deprecated", DeprecationWarning)
+        return np.array([(1, 0, 3.0)], dtype=graph_io._EDGE_ROW)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    with pytest.raises(ParseError, match="^line 2: source vertex must be an integer, got '1.5'$"):
+        parse_edge_list("2 1\n1.5 0 3\n")
+
+
 def test_parse_edge_list_peak_memory_is_bounded():
     text = edge_list_to_text(random_graph(512, 0.5, (1, 100), 7))  # about 131k edges, 1.3 MiB
     tracemalloc.start()
@@ -496,6 +509,8 @@ def test_parse_edge_list_peak_memory_is_bounded():
 def test_first_content_line_numbers_lines_like_splitlines(text):
     first = first_content_line(text)
     lines = graph_io._content_lines(text)
-    assert (None if first is None else (first[0], first[1][1])) == (lines[0] if lines else None)
+    assert (None if first is None else first[:2]) == (lines[0] if lines else None)
     if first is not None:
-        assert text[first[1].end():].splitlines() == text.splitlines()[first[0]:]
+        line_no, _, start, end = first
+        assert text[start:].splitlines() == text.splitlines()[line_no - 1:]
+        assert text[end:].splitlines() == text.splitlines()[line_no:]

@@ -1,9 +1,10 @@
 """Record one point of the benchmark trajectory as a BENCH_*.json file.
 
-    python3 tools/bench_snapshot.py --out BENCH_002.json [--checkout DIR] [--seed 1] [--seconds 25]
+    python3 tools/bench_snapshot.py --out BENCH_002.json [--checkout DIR]
 
 For each perfbench workload it runs `perfbench/run.py --trace 0` and
-`--trace 1` in the checkout and keeps the final JSON line of each (with the
+`--trace 1` in the checkout, with seed 1 and the `run_seconds` of the
+checkout's BENCHMARK.json, and keeps the final JSON line of each (with the
 facts line printed before it), then runs
 `btas bench --sizes 128,256,512,1024 --algorithm all --workers 1,2` and keeps
 its CSV as rows.  Runs are sequential; nothing else should load the machine
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("solve-dense", "solve-fw-sparse", "verify-mixed", "kernel-mix")
+SEED = 1
 BENCH_ARGS = ["bench", "--sizes", "128,256,512,1024", "--algorithm", "all", "--workers", "1,2"]
 
 
@@ -44,22 +46,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args()
+    seconds = json.loads((args.checkout / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
     runs = {}
     for workload in WORKLOADS:
         for trace in (0, 1):
-            argv = ["perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
-                    "--seconds", str(args.seconds), "--trace", str(trace)]
+            argv = ["perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+                    "--seconds", str(seconds), "--trace", str(trace)]
             facts, result = _run(args.checkout, argv).strip().splitlines()[-2:]
             runs[f"{workload} --trace {trace}"] = {**json.loads(facts), "result": json.loads(result)}
             print(f"{workload} --trace {trace}: done", file=sys.stderr)
     header, *rows = csv.reader(_run(args.checkout, ["-m", "btas", *BENCH_ARGS]).splitlines())
     snapshot = {
         "facts": runs[f"{WORKLOADS[0]} --trace 0"]["facts"],
-        "perfbench": {"seed": args.seed, "seconds": args.seconds, "runs": runs},
+        "perfbench": {"seed": SEED, "seconds": seconds, "runs": runs},
         "bench": {"argv": ["btas", *BENCH_ARGS], "header": header, "rows": [list(map(_number, r)) for r in rows]},
     }
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
