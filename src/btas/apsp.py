@@ -25,7 +25,7 @@ from .matrix import (
     identity_matrix,
     matmul,
 )
-from .semiring import INT_EXACT_LIMIT, SemiringKind, _note_saturation
+from .semiring import INT_EXACT_LIMIT, SemiringKind, _note_saturation, max_finite_magnitude
 
 
 class Algorithm(Enum):
@@ -80,8 +80,8 @@ def _require_square_minplus(adj: TropicalMatrix) -> int:
     return adj.n_rows
 
 
-def _closure_base(adj: TropicalMatrix) -> TropicalMatrix:
-    """I ⊕ A: the adjacency matrix with its diagonal ⊕-combined with 0.
+def _closure_base(adj: TropicalMatrix) -> np.ndarray:
+    """I ⊕ A, as a fresh writable array: the adjacency matrix with its diagonal ⊕-combined with 0.
 
     Powering this instead of raw A makes the k-th power mean "shortest
     distance using at most k edges", so the power sequence is monotone
@@ -89,8 +89,7 @@ def _closure_base(adj: TropicalMatrix) -> TropicalMatrix:
     """
     base = np.array(adj.data)
     np.fill_diagonal(base, np.minimum(np.diagonal(base), 0.0))
-    base.flags.writeable = False
-    return TropicalMatrix._wrap(adj.kind, base, adj.integer)
+    return base
 
 
 def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
@@ -101,13 +100,11 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
     squaring route.
     """
     n = _require_square_minplus(adj)
-    d = np.array(_closure_base(adj).data)
+    d = _closure_base(adj)  # the one copy of the input; relaxed in place
 
     limit = INT_EXACT_LIMIT if adj.integer else math.inf
-    finite = d[np.isfinite(d)]
-    max_abs = float(np.max(np.abs(finite))) if finite.size else 0.0
     # relaxation candidates are sums of two at-most-(n+1)-edge path weights
-    screen_tripped = 2.0 * (n + 1) * max_abs >= limit
+    screen_tripped = 2.0 * (n + 1) * max_finite_magnitude(d) >= limit
     cand = _aligned_empty(n * n).reshape(n, n)  # a misaligned cand made each k-round 20-30% slower
     with np.errstate(over="ignore"):
         for k in range(n):
@@ -140,7 +137,7 @@ def apsp_by_squaring(adj: TropicalMatrix, tiles: "TileSpec | None" = None) -> Ap
     is still moving or the diagonal went negative.
     """
     n = _require_square_minplus(adj)
-    base = _closure_base(adj)
+    base = TropicalMatrix._wrap(adj.kind, _closure_base(adj), adj.integer)
 
     multiplications = 0
     fixpoint = False
@@ -188,8 +185,7 @@ def find_apsp_violation(adj: TropicalMatrix, result: DistanceMatrix) -> "str | N
     if reference.negative_cycle:
         return "the input has a negative cycle, so no distance matrix is valid"
     d, want = result.dist.data, reference.distances.dist.data
-    w = float(np.max(np.abs(adj.data[np.isfinite(adj.data)]), initial=0.0))
-    tolerance = 0.0 if adj.integer else n * n * 2.0**-50 * w
+    tolerance = 0.0 if adj.integer else n * n * 2.0**-50 * max_finite_magnitude(adj.data)
     wrong = ~np.isclose(d, want, rtol=0.0, atol=tolerance)  # infinities match only themselves
     if not wrong.any():
         return None

@@ -19,7 +19,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .apsp import apsp_by_squaring, floyd_warshall
+from .apsp import Algorithm, apsp_by_squaring, floyd_warshall
 from .graph_io import RANDOM_FAMILY, graph_to_matrix, random_graph, require_dense_fits
 from .matrix import TileSpec, matmul, tile_plan
 
@@ -27,8 +27,10 @@ CSV_HEADER = "algorithm,n,worker_count,repetitions,median_seconds,min_seconds,ma
 
 
 class BenchAlgorithm(Enum):
-    FLOYD_WARSHALL = "fw"
-    REPEATED_SQUARING = "square"
+    """The APSP routes of Algorithm, plus a single product."""
+
+    FLOYD_WARSHALL = Algorithm.FLOYD_WARSHALL.value
+    REPEATED_SQUARING = Algorithm.REPEATED_SQUARING.value
     MATMUL_ONLY = "matmul"
 
     @classmethod
@@ -36,7 +38,8 @@ class BenchAlgorithm(Enum):
         try:
             return cls(token.strip().lower())
         except ValueError:
-            raise ValueError(f"unknown algorithm {token!r} (expected 'fw', 'square', or 'matmul')") from None
+            *names, last = [repr(a.value) for a in cls]
+            raise ValueError(f"unknown algorithm {token!r} (expected {', '.join(names)}, or {last})") from None
 
 
 @dataclass(frozen=True, slots=True)

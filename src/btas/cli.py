@@ -77,8 +77,8 @@ def _load_adjacency(text: str, fmt: str, sentinel: SentinelConvention) -> Tropic
     return parse_matrix(text, sentinel)
 
 
-def _solve(adj: TropicalMatrix, algorithm: str, workers: "int | None"):
-    if algorithm == Algorithm.FLOYD_WARSHALL.value:
+def _solve(adj: TropicalMatrix, algorithm: Algorithm, workers: "int | None"):
+    if algorithm is Algorithm.FLOYD_WARSHALL:
         return floyd_warshall(adj)
     tiles = None if workers is None else tile_plan(adj.n_rows, adj.n_cols, workers)
     return apsp_by_squaring(adj, tiles=tiles)
@@ -92,7 +92,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_IO
     try:
         adj = _load_adjacency(text, args.format, SentinelConvention(args.sentinel))
-        report = _solve(adj, args.algorithm, args.workers)
+        report = _solve(adj, Algorithm(args.algorithm), args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute all-pairs shortest paths")
     p_solve.add_argument("input", help="graph file (edge list or matrix)")
-    p_solve.add_argument("--algorithm", choices=["fw", "square"], default="square")
+    p_solve.add_argument("--algorithm", choices=[a.value for a in Algorithm],
+                         default=Algorithm.REPEATED_SQUARING.value)
     add_input_flags(p_solve)
     p_solve.add_argument("--workers", type=int, default=None,
                          help="worker threads for the squaring solver (default: available cores)")
@@ -238,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the scaling sweep and emit CSV")
     p_bench.add_argument("--sizes", default="4,16,32,64,128")
     p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--algorithm", default="fw,square",
-                         help="comma list from fw,square,matmul or 'all'")
+    p_bench.add_argument("--algorithm", default=",".join(a.value for a in BenchConfig().algorithms),
+                         help=f"comma list from {','.join(a.value for a in BenchAlgorithm)} or 'all'")
     p_bench.add_argument("--workers", default=str(available_parallelism()),
                          help="comma list of worker counts to sweep")
     p_bench.add_argument("--seed", type=int, default=1)

@@ -6,8 +6,10 @@ Two line-oriented UTF-8 formats, both allowing `#` comment lines:
 * matrix: header `n_rows n_cols kind`, then one whitespace-separated row
   per line with `inf` for Infinity.
 
-A weight token is read by Python's float(), so `inf`, `INF`, `Infinity`
-and `1e309` all mean Infinity; NaN and -inf are refused.
+Weights are read, checked and written by the weight rule in semiring:
+float() reads a token, so `inf`, `INF`, `Infinity` and `1e309` all mean
+Infinity; NaN and -inf are refused; integral weights below 2^53 are
+written without a decimal point.
 
 Legacy adjacency grids that mark "no edge" in-band (0 or -1) are read as
 bare n x n numeric grids under an explicit SentinelConvention; they refuse
@@ -32,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .matrix import TropicalMatrix
-from .semiring import SemiringKind
+from .semiring import SemiringKind, exact_integers, format_weights, read_weight, weights_ok
 
 #: Generator family used by random_graph, recorded in benchmark metadata.
 RANDOM_FAMILY = "numpy-pcg64"
@@ -177,7 +179,7 @@ def _fast_grid(body: str, n_rows: int, n_cols: int, finite: bool) -> "np.ndarray
     grid = _fast_rows(body, np.float64, ndmin=2)
     if grid is None or grid.shape != (n_rows, n_cols):
         return None
-    return grid if (np.isfinite(grid) if finite else grid > -math.inf).all() else None
+    return grid if weights_ok(grid, finite) else None
 
 
 def _parse_int(token: str, what: str, line_no: int) -> int:
@@ -187,15 +189,12 @@ def _parse_int(token: str, what: str, line_no: int) -> int:
         raise ParseError(f"{what} must be an integer, got {token!r}", line_no) from None
 
 
-def _parse_weight(token: str, line_no: int) -> float:
-    """The weight rule: float(token), with NaN and -inf refused."""
+def _on_line(line_no: int, call, *args):
+    """call(*args), with a ValueError it raises turned into a ParseError naming line_no."""
     try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"not a number: {token!r}", line_no) from None
-    if not value > -math.inf:
-        raise ParseError(f"weights cannot be NaN or -inf, got {token!r}", line_no)
-    return value
+        return call(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None
 
 
 def _read_rows(rows: "list[tuple[int, str]]", n_cols: int, finite: bool) -> np.ndarray:
@@ -208,12 +207,12 @@ def _read_rows(rows: "list[tuple[int, str]]", n_cols: int, finite: bool) -> np.n
             raise ParseError(f"expected {n_cols} entries, got {len(tokens)}", line_no)
         try:
             out[:] = list(map(float, tokens))
-            if (np.isfinite(out) if finite else out > -math.inf).all():
+            if weights_ok(out, finite):
                 continue
         except ValueError:
             pass
         for token in tokens:  # the line is bad: name its first bad token
-            if _parse_weight(token, line_no) == math.inf and finite:
+            if _on_line(line_no, read_weight, token) == math.inf and finite:
                 raise ParseError(f"grid entries must be finite numbers, got {token!r}", line_no)
     return grid
 
@@ -253,14 +252,11 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"vertex count must be positive, got {n}", header_no)
     if m < 0:
         raise ParseError(f"edge count cannot be negative, got {m}", header_no)
-    try:
-        require_dense_fits(n)
-    except ValueError as exc:
-        raise ParseError(str(exc), header_no) from None
+    _on_line(header_no, require_dense_fits, n)
     rows = _fast_rows(text[body_start:], _EDGE_ROW, ndmin=1)
     if rows is not None and rows.size == m:
         src, dst, weight = rows["src"], rows["dst"], rows["weight"]
-        if ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)).all() and np.isfinite(weight).all():
+        if ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)).all() and weights_ok(weight, finite=True):
             return _edge_graph(n, src, dst, weight)
     return _edge_graph(n, *_read_edges(_content_lines(text)[1:], n, m, header_no))
 
@@ -278,7 +274,7 @@ def _read_edges(body: "list[tuple[int, str]]", n: int, m: int, header_no: int) -
         dst = _parse_int(tokens[1], "destination vertex", line_no)
         if not (0 <= src < n) or not (0 <= dst < n):
             raise ParseError(f"vertex index out of range 0..{n - 1} in edge ({src}, {dst})", line_no)
-        weight = _parse_weight(tokens[2], line_no)
+        weight = _on_line(line_no, read_weight, tokens[2])
         if weight == math.inf:
             raise ParseError("edge weights must be finite; omit the edge instead of `inf`", line_no)
         srcs.append(src)
@@ -295,8 +291,8 @@ def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) ->
 
 def edge_list_to_text(g: Graph) -> str:
     """Inverse of parse_edge_list on normalized graphs."""
-    text = (lambda w: str(int(w))) if (g.weight == np.trunc(g.weight)).all() else repr
-    rows = map("{} {} {}".format, g.src.tolist(), g.dst.tolist(), map(text, g.weight.tolist()))
+    weights = format_weights(g.weight.tolist(), exact_integers(g.weight))
+    rows = map("{} {} {}".format, g.src.tolist(), g.dst.tolist(), weights)
     return "\n".join([f"{g.n} {g.edge_count}", *rows]) + "\n"
 
 
@@ -326,10 +322,9 @@ def matrix_to_graph(m: TropicalMatrix) -> Graph:
 
 def matrix_to_text(m: TropicalMatrix) -> str:
     """Native matrix format; integer mode prints weights without a point."""
-    text = (lambda v: str(int(v))) if m.integer else repr
     rows = [f"{m.n_rows} {m.n_cols} {m.kind.value}"]
     for row in m.data:
-        rows.append(" ".join(["inf" if math.isinf(v) else text(v) for v in row.tolist()]))
+        rows.append(" ".join(format_weights(row.tolist(), m.integer)))
     return "\n".join(rows) + "\n"
 
 
@@ -341,11 +336,8 @@ def _parse_native_matrix(text: str, header_no: int, header_line: str, body_start
     n_cols = _parse_int(header[1], "column count", header_no)
     if n_rows < 1 or n_cols < 1:
         raise ParseError(f"matrix dimensions must be positive, got {n_rows}x{n_cols}", header_no)
-    try:
-        kind = SemiringKind.from_token(header[2])
-        require_dense_fits(max(n_rows, n_cols))
-    except ValueError as exc:
-        raise ParseError(str(exc), header_no) from None
+    kind = _on_line(header_no, SemiringKind.from_token, header[2])
+    _on_line(header_no, require_dense_fits, max(n_rows, n_cols))
     grid = _fast_grid(text[body_start:], n_rows, n_cols, finite=False)
     if grid is None:
         body = _content_lines(text)[1:]
@@ -359,10 +351,7 @@ def _parse_grid_matrix(
     text: str, first_no: int, first_line: str, first_start: int, sentinel: SentinelConvention
 ) -> TropicalMatrix:
     n = len(first_line.split())
-    try:
-        require_dense_fits(n)
-    except ValueError as exc:
-        raise ParseError(str(exc), first_no) from None
+    _on_line(first_no, require_dense_fits, n)
     grid = _fast_grid(text[first_start:], n, n, finite=True)
     if grid is None:
         lines = _content_lines(text)

@@ -28,6 +28,10 @@ from .semiring import (
     SemiringKind,
     TropicalWeight,
     _note_saturation,
+    exact_integers,
+    max_finite_magnitude,
+    read_weight,
+    weights_ok,
 )
 
 
@@ -85,14 +89,15 @@ def _combine_ufunc(kind: SemiringKind) -> np.ufunc:
 
 def _orient(kind: SemiringKind, values: object) -> np.ndarray:
     """Validate symbolic-form input and return a fresh oriented array."""
+    if not isinstance(kind, SemiringKind):
+        raise SemiringMismatch(f"not a SemiringKind: {kind!r}")
     try:
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"entries do not form a rectangular array: {exc}") from None
-    if np.isnan(arr).any():
-        raise ValueError("matrix entries cannot be NaN")
-    if (arr == -math.inf).any():
-        raise ValueError("use math.inf for the symbolic no-path weight; -inf is not a valid input")
+    if not weights_ok(arr):
+        for v in arr.flat:  # name the first refused entry
+            read_weight(float(v))
     arr = arr + 0.0  # copy, and normalize any -0.0 to +0.0
     if kind is SemiringKind.MAX_PLUS:
         arr[arr == math.inf] = -math.inf
@@ -108,10 +113,7 @@ def _detect_integer(oriented: np.ndarray, requested: "bool | None") -> bool:
     """
     if requested is False:
         return False
-    finite = oriented[np.isfinite(oriented)]
-    ok = finite.size == 0 or bool(
-        np.all(finite == np.floor(finite)) and np.all(np.abs(finite) < INT_EXACT_LIMIT)
-    )
+    ok = exact_integers(oriented)
     if requested is None:
         return ok
     if not ok:
@@ -144,8 +146,6 @@ class TropicalMatrix:
     __slots__ = ("kind", "data", "integer")
 
     def __init__(self, kind: SemiringKind, rows: object, integer: "bool | None" = None):
-        if not isinstance(kind, SemiringKind):
-            raise SemiringMismatch(f"not a SemiringKind: {kind!r}")
         arr = _orient(kind, rows)
         if arr.ndim != 2:
             raise DimensionMismatch(f"matrix needs 2 dimensions, got {arr.ndim}")
@@ -170,8 +170,7 @@ class TropicalMatrix:
         weight: "TropicalWeight | float | int" = math.inf,
     ) -> "TropicalMatrix":
         """Constant matrix; the default fill is Infinity."""
-        value = TropicalWeight(float(weight)).value
-        return cls(kind, np.full((int(n_rows), int(n_cols)), value))
+        return cls(kind, np.full((int(n_rows), int(n_cols)), float(weight)))
 
     @property
     def n_rows(self) -> int:
@@ -222,8 +221,6 @@ class TropicalVector:
     __slots__ = ("kind", "data", "integer")
 
     def __init__(self, kind: SemiringKind, values: object, integer: "bool | None" = None):
-        if not isinstance(kind, SemiringKind):
-            raise SemiringMismatch(f"not a SemiringKind: {kind!r}")
         arr = _orient(kind, values)
         if arr.ndim != 1:
             raise DimensionMismatch(f"vector needs 1 dimension, got {arr.ndim}")
@@ -317,10 +314,7 @@ def _saturation_limit(x: TropicalMatrix, y: TropicalMatrix, integer: bool) -> "f
     under the threshold no per-tile masking is needed.
     """
     limit = INT_EXACT_LIMIT if integer else math.inf
-    bound = 0.0
-    for operand in (x, y):
-        finite = operand.data[np.isfinite(operand.data)]
-        bound += float(np.max(np.abs(finite))) if finite.size else 0.0
+    bound = max_finite_magnitude(x.data) + max_finite_magnitude(y.data)
     return limit if bound >= limit else None
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -325,3 +326,17 @@ def test_floyd_warshall_float_saturation_on_overflow():
     assert report.distances.dist.to_lists() == [[0, -1e308, INF], [INF, 0, -1e308], [INF, INF, 0]]
     assert saturation_seen()
     reset_saturation()
+
+
+def test_floyd_warshall_peak_memory_on_a_dense_graph():
+    """FW holds one copy of the input and one candidate buffer: its peak
+    stays below 2.5 n x n float64 matrices."""
+    n = 256
+    adj = graph_to_matrix(random_graph(n, 1.0, (1, 100), 7))
+    tracemalloc.start()
+    try:
+        floyd_warshall(adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n^2 float64"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import btas
 from btas.cli import _sniff_format, entrypoint
-from btas.graph_io import SentinelConvention, edge_list_to_text, random_graph
+from btas.graph_io import SentinelConvention, edge_list_to_text, parse_edge_list, random_graph
 
 THREE_NODE = "3 3\n0 1 1\n1 2 2\n0 2 5\n"
 SOLVED = "3 3 minplus\n0 1 3\ninf 0 2\ninf inf 0\n"
@@ -171,6 +171,17 @@ def test_convert_round_trips_edges(graph_file, tmp_path, capsys):
     assert entrypoint(["convert", str(matrix_file), "--to", "edges"]) == 0
     # edges come back de-duplicated and sorted by (src, dst)
     assert capsys.readouterr().out == "3 3\n0 1 1\n0 2 5\n1 2 2\n"
+
+
+def test_convert_writes_an_integral_weight_beyond_2_53_as_the_matrix_writer_does(tmp_path, capsys):
+    graph = tmp_path / "big.edges"
+    graph.write_text("2 1\n0 1 1e300\n", encoding="utf-8")
+    assert entrypoint(["convert", str(graph), "--to", "edges"]) == 0
+    out = capsys.readouterr().out
+    assert out == "2 1\n0 1 1e+300\n"
+    assert parse_edge_list(out) == parse_edge_list(graph.read_text(encoding="utf-8"))
+    assert entrypoint(["convert", str(graph)]) == 0
+    assert capsys.readouterr().out == "2 2 minplus\n0.0 1e+300\ninf 0.0\n"
 
 
 def test_bench_emits_well_formed_csv(tmp_path):

@@ -25,7 +25,7 @@ from btas.graph_io import (
     random_graph,
 )
 from btas.matrix import TropicalMatrix
-from btas.semiring import SemiringKind
+from btas.semiring import SemiringKind, TropicalWeight, parse_weight
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -514,3 +514,32 @@ def test_first_content_line_numbers_lines_like_splitlines(text):
         line_no, _, start, end = first
         assert text[start:].splitlines() == text.splitlines()[line_no - 1:]
         assert text[end:].splitlines() == text.splitlines()[line_no:]
+
+
+ACCEPTED = ["inf", "INF", "Infinity", "1e309", "+5", "1_000", "-0.0"]
+
+
+@pytest.mark.parametrize("token", REFUSED + ACCEPTED)
+def test_every_reader_holds_the_one_weight_rule(token):
+    """parse_weight, an edge list, a native matrix, a sentinel grid,
+    TropicalWeight and TropicalMatrix agree on refusing the token or on the
+    bits of its value; edge lists and grids also refuse Infinity."""
+
+    def outcome(read):
+        try:
+            return np.float64(read()).tobytes()  # bits, so that -0.0 and 0.0 differ
+        except ValueError:
+            return "refused"
+
+    want = outcome(lambda: parse_weight(token).value)
+    finite_want = "refused" if want == np.float64(INF).tobytes() else want
+    assert outcome(lambda: parse_matrix(f"1 1 minplus\n{token}\n").to_lists()[0][0]) == want
+    assert outcome(lambda: parse_edge_list(f"2 1\n0 1 {token}\n").weight[0]) == finite_want
+    grid = SentinelConvention.MINUS_ONE_MEANS_NO_EDGE
+    assert outcome(lambda: parse_matrix(f"{token}\n", grid).to_lists()[0][0]) == finite_want
+    try:
+        value = float(token)
+    except ValueError:
+        return  # nothing to hand to the constructors
+    assert outcome(lambda: TropicalWeight(value).value) == want
+    assert outcome(lambda: TropicalMatrix(MIN, [[value]]).to_lists()[0][0]) == want

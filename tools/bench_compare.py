@@ -1,0 +1,65 @@
+"""Compare two points of the benchmark trajectory, BENCH_*.json files.
+
+    python3 tools/bench_compare.py OLD.json NEW.json
+
+For every perfbench run (workload and trace mode) and every metric present
+in both files, and for every `btas bench` cell (algorithm, n, workers) in
+both, it prints the old value, the new value and the ratio new/old, and
+marks with `*` a ratio that is off 1 by more than 10 %.  It only reports
+and always exits 0: a mark is a lead to look into, not a verdict, since
+timings on a shared 2-vCPU VM drift by up to 11 % between runs.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+#: A ratio further than this from 1 is marked.
+MARK_BEYOND = 0.10
+
+
+def _line(label: str, old: float, new: float) -> str:
+    if old == 0:
+        return f"{label:66} {old:>12.6g} {new:>12.6g}      n/a"
+    ratio = new / old
+    mark = " *" if abs(ratio - 1.0) > MARK_BEYOND else ""
+    return f"{label:66} {old:>12.6g} {new:>12.6g} {ratio:>7.3f}x{mark}"
+
+
+def compare(old: dict, new: dict) -> "list[str]":
+    """The report lines for snapshots old and new, in old's order."""
+    lines = []
+    new_runs = new["perfbench"]["runs"]
+    for run, old_run in old["perfbench"]["runs"].items():
+        if run not in new_runs:
+            continue
+        new_metrics = new_runs[run]["result"]["metrics"]
+        for metric, entry in old_run["result"]["metrics"].items():
+            if metric in new_metrics:
+                lines.append(_line(f"{run}  {metric}", entry["value"], new_metrics[metric]["value"]))
+    header = old["bench"]["header"]
+    key = [header.index(name) for name in ("algorithm", "n", "worker_count")]
+    median = header.index("median_seconds")
+    new_cells = {tuple(row[i] for i in key): row[median] for row in new["bench"]["rows"]}
+    for row in old["bench"]["rows"]:
+        algorithm, n, workers = cell = tuple(row[i] for i in key)
+        if cell in new_cells:
+            lines.append(_line(f"bench {algorithm} n={n} workers={workers}  median_seconds", row[median], new_cells[cell]))
+    return lines
+
+
+def main(argv: "list[str]") -> int:
+    if len(argv) != 2:
+        print("usage: bench_compare.py OLD.json NEW.json", file=sys.stderr)
+        return 0
+    old, new = (json.loads(Path(path).read_text(encoding="utf-8")) for path in argv)
+    print(f"{argv[0]} -> {argv[1]}: new/old, `*` where it is off 1 by more than {MARK_BEYOND:.0%}")
+    for line in compare(old, new):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
