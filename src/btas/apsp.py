@@ -22,10 +22,11 @@ from .matrix import (
     TropicalMatrix,
     _aligned_empty,
     _saturate,
+    _saturation_limit,
     identity_matrix,
     matmul,
 )
-from .semiring import INT_EXACT_LIMIT, SemiringKind, _note_saturation, max_finite_magnitude
+from .semiring import SemiringKind, _note_saturation, max_finite_magnitude
 
 
 class Algorithm(Enum):
@@ -102,14 +103,13 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
     n = _require_square_minplus(adj)
     d = _closure_base(adj)  # the one copy of the input; relaxed in place
 
-    limit = INT_EXACT_LIMIT if adj.integer else math.inf
     # relaxation candidates are sums of two at-most-(n+1)-edge path weights
-    screen_tripped = 2.0 * (n + 1) * max_finite_magnitude(d) >= limit
+    limit = _saturation_limit(2.0 * (n + 1) * max_finite_magnitude(d), adj.integer)
     cand = _aligned_empty(n * n).reshape(n, n)  # a misaligned cand made each k-round 20-30% slower
     with np.errstate(over="ignore"):
         for k in range(n):
             np.add.outer(d[:, k], d[k, :], out=cand)
-            if screen_tripped and _saturate(cand, d[:, k, None], d[None, k, :], limit, math.inf):
+            if limit is not None and _saturate(cand, d[:, k, None], d[None, k, :], limit, math.inf):
                 _note_saturation()
             np.minimum(d, cand, out=d)
 

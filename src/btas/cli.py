@@ -5,12 +5,15 @@ against its graph), convert (format and sentinel translation), bench
 (scaling sweep to CSV).
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 negative cycle under --strict, 4 I/O error.
+3 negative cycle under --strict, 4 I/O error.  Commands return only 0, 1
+and 3 and raise the rest; entrypoint turns an OSError into 4 and a
+ValueError into 2, each with one `error:` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from .apsp import Algorithm, DistanceMatrix, apsp_by_squaring, find_apsp_violation, floyd_warshall
@@ -36,12 +39,18 @@ EXIT_IO = 4
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of path; a failure names the file (OSError) or calls it malformed (ValueError)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from None
 
 
-def _write_text(path: "str | None", text: str) -> int:
-    """Write text to path (stdout when None) and return the exit code."""
+def _write_text(path: "str | None", text: str) -> None:
+    """Write text to path, or to stdout when path is None; a failure names the destination."""
     try:
         if path is None:
             sys.stdout.write(text)
@@ -49,9 +58,7 @@ def _write_text(path: "str | None", text: str) -> int:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+        raise OSError(f"cannot write {path or 'stdout'}: {exc}") from None
 
 
 def _sniff_format(text: str, sentinel: SentinelConvention) -> str:
@@ -85,38 +92,21 @@ def _solve(adj: TropicalMatrix, algorithm: Algorithm, workers: "int | None"):
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        text = _read_text(args.input)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        adj = _load_adjacency(text, args.format, SentinelConvention(args.sentinel))
-        report = _solve(adj, Algorithm(args.algorithm), args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    adj = _load_adjacency(_read_text(args.input), args.format, SentinelConvention(args.sentinel))
+    report = _solve(adj, Algorithm(args.algorithm), args.workers)
     if report.negative_cycle:
         print("warning: input contains a negative cycle; distances are not shortest paths", file=sys.stderr)
         if args.strict:
             return EXIT_NEGATIVE_CYCLE
-    return _write_text(args.out, matrix_to_text(report.distances.dist))
+    _write_text(args.out, matrix_to_text(report.distances.dist))
+    return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        graph_text = _read_text(args.input)
-        result_text = _read_text(args.result)
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        adj = _load_adjacency(graph_text, args.format, SentinelConvention(args.sentinel))
-        dist = parse_matrix(result_text)
-        violation = find_apsp_violation(adj, DistanceMatrix.from_matrix(dist))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    graph_text = _read_text(args.input)
+    result_text = _read_text(args.result)
+    adj = _load_adjacency(graph_text, args.format, SentinelConvention(args.sentinel))
+    violation = find_apsp_violation(adj, DistanceMatrix.from_matrix(parse_matrix(result_text)))
     if violation is None:
         print("ok: result is a valid shortest-path closure of the input")
         return EXIT_OK
@@ -125,18 +115,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    try:
-        text = _read_text(args.input)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        adj = _load_adjacency(text, args.format, SentinelConvention(args.sentinel))
-        out_text = matrix_to_text(adj) if args.to == "matrix" else edge_list_to_text(matrix_to_graph(adj))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    return _write_text(args.out, out_text)
+    adj = _load_adjacency(_read_text(args.input), args.format, SentinelConvention(args.sentinel))
+    out_text = matrix_to_text(adj) if args.to == "matrix" else edge_list_to_text(matrix_to_graph(adj))
+    _write_text(args.out, out_text)
+    return EXIT_OK
 
 
 def _parse_int_list(text: str, what: str) -> "tuple[int, ...]":
@@ -160,23 +142,19 @@ def _parse_weight_range(text: str) -> "tuple[float, float]":
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        if args.algorithm == "all":
-            algorithms = tuple(BenchAlgorithm)
-        else:
-            algorithms = tuple(BenchAlgorithm.from_token(t) for t in args.algorithm.split(","))
-        config = BenchConfig(
-            sizes=_parse_int_list(args.sizes, "--sizes"),
-            repetitions=args.reps,
-            algorithms=algorithms,
-            edge_probability=args.edge_prob,
-            weight_range=_parse_weight_range(args.weights),
-            seed=args.seed,
-            worker_counts=_parse_int_list(args.workers, "--workers"),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.algorithm == "all":
+        algorithms = tuple(BenchAlgorithm)
+    else:
+        algorithms = tuple(BenchAlgorithm.from_token(t) for t in args.algorithm.split(","))
+    config = BenchConfig(
+        sizes=_parse_int_list(args.sizes, "--sizes"),
+        repetitions=args.reps,
+        algorithms=algorithms,
+        edge_probability=args.edge_prob,
+        weight_range=_parse_weight_range(args.weights),
+        seed=args.seed,
+        worker_counts=_parse_int_list(args.workers, "--workers"),
+    )
     records = run_benchmark(config)
     for record in records:
         if record.failed:
@@ -185,15 +163,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f" failed: {record.note}",
                 file=sys.stderr,
             )
-    try:
-        if args.out is None:
-            emit_csv(records, sys.stdout)
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                emit_csv(records, handle)
-    except OSError as exc:
-        print(f"error: cannot write CSV: {exc}", file=sys.stderr)
-        return EXIT_IO
+    csv_text = io.StringIO()
+    emit_csv(records, csv_text)
+    _write_text(args.out, csv_text.getvalue())
     return EXIT_OK
 
 
@@ -252,8 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def entrypoint(argv: "list[str] | None" = None) -> int:
+    """Run one command; the only place a refusal becomes an `error:` line and an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:  # the library's "refused input", ParseError and the mismatches included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

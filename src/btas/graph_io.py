@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .matrix import TropicalMatrix
-from .semiring import SemiringKind, exact_integers, format_weights, read_weight, weights_ok
+from .semiring import INT_EXACT_LIMIT, SemiringKind, exact_integers, format_weights, read_weight, weights_ok
 
 #: Generator family used by random_graph, recorded in benchmark metadata.
 RANDOM_FAMILY = "numpy-pcg64"
@@ -392,9 +392,10 @@ def random_graph(
     """Seed-deterministic random digraph.
 
     Every ordered non-diagonal pair is present independently with
-    edge_probability.  Integral bounds draw uniform integers (inclusive),
-    which keeps instances exact for oracle comparisons; otherwise weights
-    are uniform reals in [low, high).
+    edge_probability.  Integral bounds, which must stay below 2^53 in
+    magnitude, draw uniform integers (inclusive), which keeps instances
+    exact for oracle comparisons; otherwise weights are uniform reals in
+    [low, high).
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
@@ -405,11 +406,15 @@ def random_graph(
     if not (math.isfinite(low) and math.isfinite(high)) or low > high:
         raise ValueError(f"weight range must be finite with low <= high, got {weight_range!r}")
 
+    integral = low.is_integer() and high.is_integer()
+    if integral and max(abs(low), abs(high)) >= INT_EXACT_LIMIT:
+        raise ValueError(f"integral weight_range bounds must have magnitude below 2^53, got {weight_range!r}")
+
     rng = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFF_FFFF_FFFF_FFFF))
     src, dst = np.nonzero(~np.eye(n, dtype=bool))  # ordered pairs i != j, row-major
     present = rng.random(src.size) < p
     src, dst = src[present], dst[present]
-    if low.is_integer() and high.is_integer():
+    if integral:
         weights = rng.integers(int(low), int(high) + 1, size=src.size).astype(np.float64)
     else:
         weights = rng.uniform(low, high, size=src.size)

@@ -305,16 +305,16 @@ def _aligned_empty(size: int) -> np.ndarray:
     return raw[start : start + size]
 
 
-def _saturation_limit(x: TropicalMatrix, y: TropicalMatrix, integer: bool) -> "float | None":
-    """Pick the overflow threshold for x ⊗ y, or None when none can trip.
+def _saturation_limit(bound: float, integer: bool) -> "float | None":
+    """The overflow threshold for sums whose magnitude is at most bound, or
+    None when none can reach it.
 
     Integer mode saturates once a sum reaches 2^53 (exactness ends there);
-    float mode saturates only on true double overflow.  The screen below is
-    exact: |a + b| ≤ max|x| + max|y| entrywise, so when that bound stays
-    under the threshold no per-tile masking is needed.
+    float mode saturates only on true double overflow.  The screen is exact
+    for a bound that holds entrywise, so under the threshold no masking is
+    needed.
     """
     limit = INT_EXACT_LIMIT if integer else math.inf
-    bound = max_finite_magnitude(x.data) + max_finite_magnitude(y.data)
     return limit if bound >= limit else None
 
 
@@ -364,7 +364,8 @@ def matmul(
     out = np.empty((nr, nc), dtype=np.float64)
     combine = _combine_ufunc(x.kind)
     eps = _oriented_infinity(x.kind)
-    sat_limit = _saturation_limit(x, y, integer)
+    # |a + b| ≤ max|x| + max|y| entrywise
+    sat_limit = _saturation_limit(max_finite_magnitude(x.data) + max_finite_magnitude(y.data), integer)
     rows, cols = min(spec.tile_rows, nr), min(spec.tile_cols, nc)
     kb = min(nk, max(1, _TASK_BYTES // (8 * rows * cols)))
 

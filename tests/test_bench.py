@@ -92,7 +92,7 @@ def test_config_validation():
         BenchConfig(worker_counts=(0,))
     # the instance generator's own checks
     for bad in ({"edge_probability": 2.0}, {"edge_probability": math.nan},
-                {"weight_range": (1.0, math.inf)}, {"weight_range": (5.0, 1.0)}):
+                {"weight_range": (1.0, math.inf)}, {"weight_range": (5.0, 1.0)}, {"weight_range": (1.0, 1e30)}):
         with pytest.raises(ValueError):
             BenchConfig(**bad)
 

@@ -225,14 +225,57 @@ def test_solve_rejects_non_positive_workers(graph_file, capsys, workers):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--weights", "1:inf"], ["--weights", "5:1"], ["--edge-prob", "2"]],
-    ids=["inf-weight", "reversed-weights", "probability"],
+    [["--weights", "1:inf"], ["--weights", "5:1"], ["--edge-prob", "2"], ["--weights", "1:1e30"]],
+    ids=["inf-weight", "reversed-weights", "probability", "integral-weight-beyond-2-53"],
 )
 def test_bench_rejects_bad_instance_arguments(capsys, flags):
     assert entrypoint(["bench", "--sizes", "4", "--reps", "1", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_bench_sweep_refusal_exits_2(monkeypatch, capsys):
+    def refuse(config):
+        raise ValueError("refused inside the sweep")
+
+    monkeypatch.setattr("btas.cli.run_benchmark", refuse)
+    assert entrypoint(["bench", "--sizes", "4", "--reps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: refused inside the sweep\n"
+
+
+def test_bench_unwritable_csv_exits_4_and_names_the_path(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "sweep.csv"
+    assert entrypoint(["bench", "--sizes", "4", "--reps", "1", "--out", str(target)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+def test_verify_missing_result_exits_4_and_names_the_path(graph_file, tmp_path, capsys):
+    absent = tmp_path / "absent.mat"
+    assert entrypoint(["verify", str(graph_file), str(absent)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {absent}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "{bad}"], ["convert", "{bad}"], ["verify", "{bad}", "{result}"], ["verify", "{graph}", "{bad}"]],
+    ids=["solve", "convert", "verify-graph", "verify-result"],
+)
+def test_non_utf8_file_is_malformed_input(graph_file, tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"3 1\n0 1 \xff\n")
+    result = tmp_path / "dist.mat"
+    result.write_text(SOLVED, encoding="utf-8")
+    paths = {"bad": bad, "graph": graph_file, "result": result}
+    assert entrypoint([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(bad) in captured.err and "Traceback" not in captured.err
 
 
 def test_module_invocation(graph_file):

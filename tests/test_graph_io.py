@@ -291,6 +291,15 @@ def test_random_graph_weight_ranges():
     assert all(0.5 <= w < 2.5 for _, _, w in real.edges)
 
 
+def test_random_graph_integral_bounds_stay_exact():
+    top = float(2**53 - 1)
+    assert all(abs(w) <= top for _, _, w in random_graph(6, 1.0, (-top, top), 3).edges)
+    for bounds in ((1, 1e30), (-(2**53), 0), (0, 2**53)):
+        with pytest.raises(ValueError, match="weight_range"):
+            random_graph(4, 0.5, bounds, 1)
+    assert random_graph(4, 1.0, (0.5, 1e30), 1).edge_count == 12  # real bounds draw floats
+
+
 def test_random_graph_validation():
     with pytest.raises(ValueError):
         random_graph(0, 0.5, (1, 100), 1)
