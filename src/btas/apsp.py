@@ -1,10 +1,18 @@
 """All-pairs shortest paths over the min-plus semiring.
 
 Two independent routes to the same answer: a sequential Floyd-Warshall
-dynamic program (the reference oracle) and closure by repeated squaring of
-(I ⊕ A) built on the tiled matmul.  Both accept negative finite weights and
-flag negative cycles, in which case the returned distances carry no
-shortest-path meaning.
+dynamic program (the reference oracle, and the CLI's default) and closure
+by repeated squaring of (I ⊕ A) built on the tiled matmul.  Both accept
+negative finite weights and flag negative cycles, in which case the
+returned distances carry no shortest-path meaning.
+
+Floyd-Warshall runs its rounds in blocks and its rows in cache-sized
+strips, and still returns the bits of the plain k-outermost loop.  In
+round k, row i reads only its own entry d(i,k) and row k as it stood when
+round k began.  So any schedule gives the same bits, saturation and
+negative-cycle flag included, if it applies the rounds to each row in
+order 0..n-1 and hands each row a snapshot of row k taken at the start of
+round k.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .matrix import (
     SemiringMismatch,
     TileSpec,
     TropicalMatrix,
+    _TASK_BYTES,
     _aligned_empty,
     _saturate,
     _saturation_limit,
@@ -93,25 +102,63 @@ def _closure_base(adj: TropicalMatrix) -> np.ndarray:
     return base
 
 
-def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
-    """Classic k-outermost dynamic program; the sequential reference.
+def _relax(rows: np.ndarray, pivots: np.ndarray, k0: int, cand: np.ndarray,
+           limit: "float | None", snapshot: "np.ndarray | None" = None) -> bool:
+    """Run rows through rounds k0 .. k0+len(pivots)-1, in order; report saturation.
 
-    Each k-round is one vectorized relaxation d = d ⊕ (d(:,k) ⊗ d(k,:));
-    no tiling, no threads, so it stays an independent check on the
-    squaring route.
+    pivots[j] must read as row k0+j at the start of round k0+j: either the
+    rows themselves (the panel) or snapshots of them.  snapshot, when given,
+    receives that row as its round starts, for the strips that follow.
+    """
+    c = cand[: rows.size].reshape(rows.shape)
+    saturated = False
+    for j, pivot in enumerate(pivots):
+        k = k0 + j
+        if snapshot is not None:
+            snapshot[j] = pivot
+        np.add.outer(rows[:, k], pivot, out=c)
+        if limit is not None and _saturate(c, rows[:, k, None], pivot[None, :], limit, math.inf):
+            saturated = True
+        np.minimum(rows, c, out=rows)
+    return saturated
+
+
+def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
+    """Floyd-Warshall in row blocks; the sequential reference.
+
+    Round k relaxes every row i as d(i,:) = d(i,:) ⊕ (d(i,k) ⊗ d(k,:)).
+    The rounds are taken in blocks K = [k0, k0+b).  First the panel rows K
+    run through the rounds in K, and row k is copied as round k starts.
+    Then every other row, in strips of b, runs through the rounds in K
+    against those snapshots.  Each row sees its rounds in order and row k
+    as round k found it, which by the module docstring's argument keeps
+    every bit of the k-outermost loop.  A strip and its candidate buffer
+    each get half of matmul's per-task byte budget, so the pair stays in
+    cache as n grows; when b = n there is one block, no snapshot, and the
+    loop is the plain k-outermost one.  No threads and no matmul, so it
+    stays an independent check on the squaring route.
     """
     n = _require_square_minplus(adj)
     d = _closure_base(adj)  # the one copy of the input; relaxed in place
+    b = max(1, min(n, _TASK_BYTES // (16 * n)))
 
-    # relaxation candidates are sums of two at-most-(n+1)-edge path weights
-    limit = _saturation_limit(2.0 * (n + 1) * max_finite_magnitude(d), adj.integer)
-    cand = _aligned_empty(n * n).reshape(n, n)  # a misaligned cand made each k-round 20-30% slower
+    # relaxation candidates are sums of two at-most-(n+1)-edge path weights;
+    # the magnitude is taken a strip at a time so no n x n temporary is made
+    bound = max(max_finite_magnitude(d[r0 : r0 + b]) for r0 in range(0, n, b))
+    limit = _saturation_limit(2.0 * (n + 1) * bound, adj.integer)
+    cand = _aligned_empty(b * n)  # a misaligned cand made each k-round 20-30% slower
+    snap = _aligned_empty(b * n).reshape(b, n) if b < n else None
+    saturated = False
     with np.errstate(over="ignore"):
-        for k in range(n):
-            np.add.outer(d[:, k], d[k, :], out=cand)
-            if limit is not None and _saturate(cand, d[:, k, None], d[None, k, :], limit, math.inf):
-                _note_saturation()
-            np.minimum(d, cand, out=d)
+        for k0 in range(0, n, b):
+            panel = d[k0 : k0 + b]
+            snapshots = None if snap is None else snap[: len(panel)]
+            saturated |= _relax(panel, panel, k0, cand, limit, snapshot=snapshots)
+            for r0 in range(0, n, b):
+                if r0 != k0:
+                    saturated |= _relax(d[r0 : r0 + b], snapshots, k0, cand, limit)
+    if saturated:
+        _note_saturation()
 
     negative_cycle = bool((np.diagonal(d) < 0.0).any())
     d.flags.writeable = False

@@ -85,9 +85,10 @@ def _load_adjacency(text: str, fmt: str, sentinel: SentinelConvention) -> Tropic
 
 
 def _solve(adj: TropicalMatrix, algorithm: Algorithm, workers: "int | None"):
+    # tile_plan refuses workers < 1, so every route checks the flag
+    tiles = None if workers is None else tile_plan(adj.n_rows, adj.n_cols, workers)
     if algorithm is Algorithm.FLOYD_WARSHALL:
         return floyd_warshall(adj)
-    tiles = None if workers is None else tile_plan(adj.n_rows, adj.n_cols, workers)
     return apsp_by_squaring(adj, tiles=tiles)
 
 
@@ -185,10 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="compute all-pairs shortest paths")
     p_solve.add_argument("input", help="graph file (edge list or matrix)")
     p_solve.add_argument("--algorithm", choices=[a.value for a in Algorithm],
-                         default=Algorithm.REPEATED_SQUARING.value)
+                         default=Algorithm.FLOYD_WARSHALL.value,
+                         help="fw: Floyd-Warshall (default); square: repeated squaring on the matmul kernel")
     add_input_flags(p_solve)
     p_solve.add_argument("--workers", type=int, default=None,
-                         help="worker threads for the squaring solver (default: available cores)")
+                         help="worker threads for matmul; only --algorithm square uses them (default: available cores)")
     p_solve.add_argument("--out", default=None, help="output path (default: stdout)")
     p_solve.add_argument("--strict", action="store_true",
                          help="exit 3 instead of writing distances when a negative cycle is found")
@@ -217,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of worker counts to sweep")
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--edge-prob", type=float, default=0.5)
-    p_bench.add_argument("--weights", default="1:100", help="uniform weight range lo:hi")
+    p_bench.add_argument("--weights", default="1:100",
+                         help="uniform weight range lo:hi; write a negative lo as --weights=-1:5")
     p_bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -340,3 +341,100 @@ def test_floyd_warshall_peak_memory_on_a_dense_graph():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n^2 float64"
+
+
+def _shrink_budget(monkeypatch, n, b):
+    """Make floyd_warshall relax n-vertex inputs in row blocks of b."""
+    monkeypatch.setattr(apsp, "_TASK_BYTES", 16 * n * b)
+
+
+def _with_potentials(graph, rng, integral):
+    """The same shortest paths, with weights shifted by random vertex potentials."""
+    pot = [rng.randrange(-50, 50) if integral else rng.uniform(-50, 50) for _ in range(graph.n)]
+    return Graph(graph.n, [(s, t, w + pot[s] - pot[t]) for s, t, w in graph.edges])
+
+
+def _overflowing_dag(n, rng):
+    """Forward edges of -1e308, 1.5 or 2.25: long paths overflow a double."""
+    edges = [(i, j, rng.choice((-1e308, 1.5, 2.25))) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    return Graph(n, edges)
+
+
+BLOCKED_INPUTS = {
+    "integers": lambda n, rng: random_instance(rng, n, 1, 100, 0.3),
+    "floats": lambda n, rng: random_instance(rng, n, 0.1, 10.7, 0.3),
+    "integer-potentials": lambda n, rng: _with_potentials(random_instance(rng, n, 1, 100, 0.3), rng, True),
+    "float-potentials": lambda n, rng: _with_potentials(random_instance(rng, n, 0.1, 10.7, 0.3), rng, False),
+    "negative-cycles": lambda n, rng: random_instance(rng, n, -3, 40, 0.2),
+    "near-2^53": lambda n, rng: random_instance(rng, n, 2**49, 2**50, 0.15),
+    "float-overflow": _overflowing_dag,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKED_INPUTS))
+def test_floyd_warshall_row_blocks_match_the_k_outermost_reference(monkeypatch, kind):
+    """Several blocks, the last one ragged: same bytes, negative-cycle flag and saturation flag."""
+    rng = random.Random(kind)
+    flags = set()
+    for n, b in ((1, 1), (2, 1), (5, 2), (13, 4), (17, 17), (24, 7), (31, 8), (40, 6), (40, 39)):
+        adj = graph_to_matrix(BLOCKED_INPUTS[kind](n, rng))
+        want, cycle, saturated = oracles.floyd_warshall_reference(adj.to_lists(), adj.integer)
+        _shrink_budget(monkeypatch, n, b)
+        reset_saturation()
+        report = floyd_warshall(adj)
+        assert report.distances.dist.tobytes() == np.array(want, dtype=np.float64).tobytes(), (n, b)
+        assert report.negative_cycle == cycle, (n, b)
+        assert saturation_seen() == saturated, (n, b)
+        flags.add((cycle, saturated))
+    reset_saturation()
+    if kind == "negative-cycles":
+        assert (True, False) in flags
+    if kind in ("near-2^53", "float-overflow"):
+        assert (False, True) in flags
+
+
+def test_floyd_warshall_default_budget_blocks_match_one_block(monkeypatch):
+    # n=384 takes blocks of 170, 170 and 44 rows under the default budget
+    rng = random.Random(384)
+    graph = _with_potentials(random_instance(rng, 384, 0.1, 10.7, 0.05), rng, False)
+    adj = graph_to_matrix(graph)
+    blocked = floyd_warshall(adj)
+    monkeypatch.setattr(apsp, "_TASK_BYTES", 16 * 384 * 384)
+    plain = floyd_warshall(adj)
+    assert blocked.distances.dist.tobytes() == plain.distances.dist.tobytes()
+    assert blocked.negative_cycle == plain.negative_cycle
+
+
+def test_floyd_warshall_multi_block_buffers_start_on_cache_lines(monkeypatch):
+    addresses = []
+
+    def recording(size):
+        buf = aligned_empty(size)
+        addresses.append((size, buf.ctypes.data % 64))
+        return buf
+
+    aligned_empty = apsp._aligned_empty
+    adj = graph_to_matrix(random_graph(24, 0.3, (1, 9), 5))
+    want = floyd_warshall(adj).distances.dist.tobytes()
+    _shrink_budget(monkeypatch, 24, 5)
+    monkeypatch.setattr(apsp, "_aligned_empty", recording)
+    assert floyd_warshall(adj).distances.dist.tobytes() == want
+    assert addresses == [(5 * 24, 0), (5 * 24, 0)]  # candidates, then the snapshots
+
+
+def test_floyd_warshall_peak_memory_in_eight_row_blocks(monkeypatch):
+    """Blocked FW holds its copy of the input, one strip of candidates and
+    one strip of snapshots (0.25 n x n float64 matrices in 8 blocks), plus
+    the two bufsize-element buffers numpy's iterator takes for the
+    broadcast add, never an n x n candidate buffer."""
+    n = 256
+    adj = graph_to_matrix(random_graph(n, 1.0, (1, 100), 7))
+    _shrink_budget(monkeypatch, n, n // 8)
+    tracemalloc.start()
+    try:
+        floyd_warshall(adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 1.25 * n * n * 8 + 2 * np.getbufsize() * 8 + 16 * 1024
+    assert peak < bound, f"peak {peak / (n * n * 8):.3f} n^2 float64"

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import btas
 from btas.cli import _sniff_format, entrypoint
-from btas.graph_io import SentinelConvention, edge_list_to_text, parse_edge_list, random_graph
+from btas.graph_io import Graph, SentinelConvention, edge_list_to_text, parse_edge_list, random_graph
 
 THREE_NODE = "3 3\n0 1 1\n1 2 2\n0 2 5\n"
 SOLVED = "3 3 minplus\n0 1 3\ninf 0 2\ninf inf 0\n"
@@ -40,6 +41,31 @@ def test_solve_outputs_match_across_algorithms_and_workers(graph_file, tmp_path)
         outputs.append(out.read_bytes())
     assert all(blob == outputs[0] for blob in outputs)
     assert outputs[0] == SOLVED.encode()
+
+
+def _potential_shifted(graph, seed):
+    """graph's edges shifted by vertex potentials: negative weights, no negative cycle."""
+    rng = random.Random(seed)
+    pot = [rng.uniform(-20, 20) for _ in range(graph.n)]
+    return Graph(graph.n, [(s, t, w + pot[s] - pot[t]) for s, t, w in graph.edges])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [random_graph(24, 0.3, (0.1, 10.7), 11), _potential_shifted(random_graph(24, 0.3, (0.1, 10.7), 12), 13)],
+    ids=["floats", "negative-weights"],
+)
+def test_default_solve_is_floyd_warshall(tmp_path, capsys, graph):
+    path = tmp_path / "graph.edges"
+    path.write_text(edge_list_to_text(graph), encoding="utf-8")
+    assert entrypoint(["solve", str(path)]) == 0
+    default = capsys.readouterr().out
+    assert entrypoint(["solve", str(path), "--algorithm", "fw"]) == 0
+    assert capsys.readouterr().out == default
+    result = tmp_path / "dist.mat"
+    result.write_text(default, encoding="utf-8")
+    assert entrypoint(["verify", str(path), str(result)]) == 0
+    assert capsys.readouterr().out.startswith("ok:")
 
 
 def test_solve_reads_matrix_input(graph_file, tmp_path, capsys):
@@ -207,6 +233,13 @@ def test_bench_emits_well_formed_csv(tmp_path):
         ["square", "4"],
         ["square", "6"],
     ]
+
+
+def test_bench_takes_a_negative_lower_weight_bound_after_an_equals_sign(capsys):
+    argv = ["bench", "--sizes", "4", "--reps", "1", "--algorithm", "fw", "--workers", "1", "--weights=-1:5"]
+    assert entrypoint(argv) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == "algorithm,n,worker_count,repetitions,median_seconds,min_seconds,max_seconds,seed"
 
 
 def test_bench_rejects_bad_flags(capsys):
