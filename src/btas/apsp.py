@@ -142,10 +142,8 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
     d = _closure_base(adj)  # the one copy of the input; relaxed in place
     b = max(1, min(n, _TASK_BYTES // (16 * n)))
 
-    # relaxation candidates are sums of two at-most-(n+1)-edge path weights;
-    # the magnitude is taken a strip at a time so no n x n temporary is made
-    bound = max(max_finite_magnitude(d[r0 : r0 + b]) for r0 in range(0, n, b))
-    limit = _saturation_limit(2.0 * (n + 1) * bound, adj.integer)
+    # relaxation candidates are sums of two at-most-(n+1)-edge path weights
+    limit = _saturation_limit(2.0 * (n + 1) * max_finite_magnitude(d), adj.integer)
     cand = _aligned_empty(b * n)  # a misaligned cand made each k-round 20-30% slower
     snap = _aligned_empty(b * n).reshape(b, n) if b < n else None
     saturated = False

@@ -28,12 +28,13 @@ import math
 import os
 import re
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .matrix import TropicalMatrix
+from .matrix import _TASK_BYTES, TropicalMatrix
 from .semiring import INT_EXACT_LIMIT, SemiringKind, exact_integers, format_weights, read_weight, weights_ok
 
 #: Generator family used by random_graph, recorded in benchmark metadata.
@@ -289,9 +290,23 @@ def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) ->
     return Graph(n, np.column_stack((src[keep], dst[keep], weight[keep])))
 
 
+def _format_block(block: np.ndarray, integer: bool) -> "Iterable[list[str]]":
+    """format_weights on each row of a 2-D block, as one token list per row.
+
+    When at most half the entries are distinct, each distinct value is
+    formatted once and the rows are gathered from that table; otherwise the
+    rows are formatted one by one, since the table would only cost time.
+    """
+    if 2 * np.unique(block).size > block.size:  # counted by hash table, at a fraction of the inverse's cost
+        return (format_weights(row.tolist(), integer) for row in block)
+    distinct, inverse = np.unique(block, return_inverse=True)
+    table = np.array(format_weights(distinct.tolist(), integer), dtype=object)
+    return table[inverse.reshape(block.shape)].tolist()
+
+
 def edge_list_to_text(g: Graph) -> str:
     """Inverse of parse_edge_list on normalized graphs."""
-    weights = format_weights(g.weight.tolist(), exact_integers(g.weight))
+    (weights,) = _format_block(g.weight[None, :], exact_integers(g.weight))
     rows = map("{} {} {}".format, g.src.tolist(), g.dst.tolist(), weights)
     return "\n".join([f"{g.n} {g.edge_count}", *rows]) + "\n"
 
@@ -321,11 +336,20 @@ def matrix_to_graph(m: TropicalMatrix) -> Graph:
 
 
 def matrix_to_text(m: TropicalMatrix) -> str:
-    """Native matrix format; integer mode prints weights without a point."""
-    rows = [f"{m.n_rows} {m.n_cols} {m.kind.value}"]
-    for row in m.data:
-        rows.append(" ".join(format_weights(row.tolist(), m.integer)))
-    return "\n".join(rows) + "\n"
+    """Native matrix format; integer mode prints weights without a point.
+
+    The rows are formatted in blocks of about _TASK_BYTES of float64.  In a
+    block where at most half the entries are distinct, a distance matrix's
+    usual case, each distinct value is formatted once; a block of mostly
+    distinct values is formatted row by row.  The bytes are those of
+    formatting every entry on its own: entries hold no NaN and no -0.0, so
+    np.unique merges only values with the same bits, which print alike.
+    """
+    lines = [f"{m.n_rows} {m.n_cols} {m.kind.value}"]
+    step = max(1, _TASK_BYTES // (8 * m.n_cols))
+    for r0 in range(0, m.n_rows, step):
+        lines += map(" ".join, _format_block(m.data[r0 : r0 + step], m.integer))
+    return "\n".join(lines) + "\n"
 
 
 def _parse_native_matrix(text: str, header_no: int, header_line: str, body_start: int) -> TropicalMatrix:

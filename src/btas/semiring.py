@@ -80,11 +80,23 @@ def weights_ok(values: np.ndarray, finite: bool = False) -> bool:
     return bool((np.isfinite(values) if finite else values > -math.inf).all())
 
 
+#: max_finite_magnitude reads its input in leading-axis blocks of about this many entries.
+_MAGNITUDE_BLOCK = 1 << 14
+
+
 def max_finite_magnitude(values: np.ndarray) -> float:
-    """max |v| over the finite entries, 0.0 when there are none."""
-    magnitudes = np.abs(values)
-    magnitudes[magnitudes == math.inf] = 0.0  # about twice as fast as a max with where=np.isfinite(values)
-    return float(magnitudes.max(initial=0.0))
+    """max |v| over the finite entries, 0.0 when there are none.
+
+    |v| and its mask are taken a block of rows at a time, so they stay
+    about _MAGNITUDE_BLOCK entries whatever the size of values."""
+    values = np.atleast_1d(values)
+    step = max(1, _MAGNITUDE_BLOCK // max(1, values[:1].size))  # rows per block
+    best = 0.0
+    for r0 in range(0, len(values), step):
+        magnitudes = np.abs(values[r0 : r0 + step])
+        magnitudes[magnitudes == math.inf] = 0.0  # about twice as fast as a max with where=np.isfinite(values)
+        best = max(best, float(magnitudes.max(initial=0.0)))
+    return best
 
 
 def exact_integers(values: np.ndarray) -> bool:
@@ -97,7 +109,9 @@ def format_weights(values: "list[float]", integer: bool) -> "list[str]":
     in integer mode and repr(v) otherwise."""
     if integer:  # v - v is 0.0 for a finite v and NaN for either infinity, and quicker than math.isinf
         return [str(int(v)) if v - v == 0.0 else "inf" for v in values]
-    return [repr(v) if v - v == 0.0 else "inf" for v in values]
+    if -math.inf in values:
+        return [repr(v) if v - v == 0.0 else "inf" for v in values]
+    return list(map(repr, values))  # repr(math.inf) is "inf" already, and map is quicker than the comprehension
 
 
 INFINITY = TropicalWeight(math.inf)

@@ -150,6 +150,34 @@ def floyd_warshall_reference(rows, integer):
     return d, any(d[i][i] < 0.0 for i in range(n)), saturated
 
 
+def weight_token_reference(v, integer):
+    """One entry as the per-entry writers spell it: `inf` for either
+    infinity, else str(int(v)) in integer mode and repr(v) otherwise."""
+    if math.isinf(v):
+        return "inf"
+    return str(int(v)) if integer else repr(v)
+
+
+def matrix_to_text_reference(kind, rows, integer):
+    """The native matrix writer, one entry at a time: a `n_rows n_cols kind`
+    header, then one line of tokens per row."""
+    lines = [f"{len(rows)} {len(rows[0])} {kind}"]
+    for row in rows:
+        lines.append(" ".join(weight_token_reference(v, integer) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def edge_list_to_text_reference(n, edges):
+    """The edge-list writer, one entry at a time: a `n m` header, then one
+    `src dst weight` line per edge; the weights are written in integer mode
+    when every one is integral and below 2^53 in magnitude."""
+    integer = all(w == int(w) and abs(w) < 2.0**53 for _, _, w in edges)
+    lines = [f"{n} {len(edges)}"]
+    for src, dst, w in edges:
+        lines.append(f"{src} {dst} {weight_token_reference(w, integer)}")
+    return "\n".join(lines) + "\n"
+
+
 class OracleParseError(ValueError):
     """The reference readers' refusal; line_no is 1-based, or None."""
 

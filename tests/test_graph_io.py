@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from btas import graph_io
+from btas.apsp import floyd_warshall
 from btas.graph_io import (
     RANDOM_FAMILY,
     Graph,
@@ -552,3 +553,121 @@ def test_every_reader_holds_the_one_weight_rule(token):
         return  # nothing to hand to the constructors
     assert outcome(lambda: TropicalWeight(value).value) == want
     assert outcome(lambda: TropicalMatrix(MIN, [[value]]).to_lists()[0][0]) == want
+
+
+# ------------------------------------------------- writers against the per-entry oracle
+
+EXPONENT_SWITCHES = (1e16, 1e-4)  # repr writes an exponent from 1e16 up and below 1e-4
+
+
+def _near(x):
+    return st.floats(min_value=x / 2, max_value=x * 2).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+written_floats = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    *(_near(x) for x in EXPONENT_SWITCHES),
+    st.sampled_from([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, -1e16, -1e-4, 0.5]),
+)
+LARGEST_EXACT = 2**53 - 1
+written_integers = st.one_of(
+    st.integers(min_value=-1000, max_value=1000),
+    st.integers(min_value=LARGEST_EXACT - 64, max_value=LARGEST_EXACT).flatmap(lambda v: st.sampled_from([v, -v])),
+).map(float)
+
+
+@st.composite
+def written_matrices(draw):
+    """(matrix, rows per block): a row, a column or a grid, in either
+    semiring, of integers up to 2^53 - 1 or of floats, drawn from a small pool
+    (few distinct values) or freely (nearly all distinct)."""
+    shape = draw(st.sampled_from(["row", "column", "grid"]))
+    if shape == "grid":
+        n_rows, n_cols = draw(st.integers(min_value=1, max_value=12)), draw(st.integers(min_value=1, max_value=12))
+    else:
+        length = draw(st.integers(min_value=1, max_value=40))
+        n_rows, n_cols = (1, length) if shape == "row" else (length, 1)
+    values = st.one_of(draw(st.sampled_from([written_integers, written_floats])), st.just(INF))
+    if draw(st.booleans()):
+        values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=4)))
+    grid = draw(st.lists(st.lists(values, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    m = TropicalMatrix(draw(st.sampled_from([MIN, MAX])), grid)
+    return m, draw(st.integers(min_value=1, max_value=n_rows))
+
+
+@given(written_matrices())
+@example((TropicalMatrix(MAX, [[INF, 1e16, -1e-4, INF]]), 1))
+@example((TropicalMatrix(MIN, [[float(LARGEST_EXACT)], [-float(LARGEST_EXACT)], [INF]]), 2))
+def test_matrix_to_text_matches_the_per_entry_writer(case):
+    m, rows_per_block = case
+    want = oracles.matrix_to_text_reference(m.kind.value, m.data.tolist(), m.integer)
+    assert matrix_to_text(m) == want
+    with pytest.MonkeyPatch.context() as patch:  # several row blocks
+        patch.setattr(graph_io, "_TASK_BYTES", 8 * m.n_cols * rows_per_block)
+        assert matrix_to_text(m) == want
+
+
+@pytest.mark.parametrize("distinct", [4, 5])
+@pytest.mark.parametrize("kind", [MIN, MAX])
+def test_matrix_to_text_on_either_side_of_the_distinct_count_threshold(kind, distinct):
+    """A block of 8 entries is written from a table of its values when at
+    most 4 of them are distinct, and row by row when 5 are."""
+    values = [0.1, 2.5, INF, 1e16, 1e-5][:distinct]
+    grid = [values[:4], (values[4:] + values)[:4], [0.1] * 4]
+    m = TropicalMatrix(kind, grid)
+    want = oracles.matrix_to_text_reference(kind.value, m.data.tolist(), m.integer)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_io, "_TASK_BYTES", 8 * 4 * 2)  # rows 0-1, then row 2
+        assert matrix_to_text(m) == want
+
+
+@st.composite
+def written_graphs(draw):
+    """A graph of up to 30 edges whose weights are integers up to 2^53 - 1
+    or floats, drawn from a small pool or freely."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    weights = draw(st.sampled_from([written_integers, written_floats]))
+    if draw(st.booleans()):
+        weights = st.sampled_from(draw(st.lists(weights, min_size=1, max_size=3)))
+    vertices = st.integers(min_value=0, max_value=n - 1)
+    return Graph(n, draw(st.lists(st.tuples(vertices, vertices, weights), max_size=30)))
+
+
+@given(written_graphs())
+def test_edge_list_to_text_matches_the_per_entry_writer(g):
+    assert edge_list_to_text(g) == oracles.edge_list_to_text_reference(g.n, g.edges)
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_to_text_peak_memory_on_few_distinct_values():
+    """Distances of a sparse n=512 graph with out-degree 8 and quarter-integer
+    weights shifted by vertex potentials, some negative: about 1,300
+    distinct values in float mode.  Row blocks keep the writer's peak under
+    4 n x n float64 matrices."""
+    n, degree = 512, 8
+    rng = np.random.default_rng(3)
+    src = np.repeat(np.arange(n), degree)
+    dst = (src + rng.integers(1, n, size=src.size)) % n
+    potential = rng.integers(-200, 200, size=n) / 4.0
+    weight = rng.integers(1, 400, size=src.size) / 4.0 + potential[src] - potential[dst]
+    dist = floyd_warshall(graph_to_matrix(Graph(n, np.column_stack((src, dst, weight))))).distances.dist
+    assert not dist.integer and np.unique(dist.data).size < n * n // 100
+    peak = _traced_peak(matrix_to_text, dist)
+    assert peak < 4 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n^2 float64"
+
+
+def test_matrix_to_text_peak_memory_on_distinct_values_stays_near_the_per_entry_writer():
+    dist = floyd_warshall(graph_to_matrix(random_graph(512, 0.05, (0.1, 10.7), 3))).distances.dist
+    rows = dist.data.tolist()
+    assert np.unique(dist.data).size > dist.data.size // 2
+    reference = _traced_peak(oracles.matrix_to_text_reference, dist.kind.value, rows, dist.integer)
+    peak = _traced_peak(matrix_to_text, dist)
+    assert peak < 1.25 * reference, f"peak {peak / reference:.2f} times the per-entry writer's"

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from btas import semiring
 from btas.semiring import (
     INFINITY,
     ZERO,
@@ -11,6 +14,7 @@ from btas.semiring import (
     TropicalWeight,
     additive_identity,
     format_weight,
+    max_finite_magnitude,
     multiplicative_identity,
     parse_weight,
     reset_saturation,
@@ -162,3 +166,36 @@ def test_absorption_does_not_flag_saturation():
     reset_saturation()
     assert tmul(MIN, INFINITY, TropicalWeight(5)) == INFINITY
     assert not saturation_seen()
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=7),
+    st.data(),
+)
+def test_max_finite_magnitude_in_blocks_matches_the_whole_array(shape, block, data):
+    size = math.prod(shape)
+    values = data.draw(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from([math.inf, -math.inf])),
+                                min_size=size, max_size=size))
+    arr = np.array(values, dtype=np.float64).reshape(shape)
+    finite = np.abs(arr[np.isfinite(arr)])
+    want = float(finite.max()) if finite.size else 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semiring, "_MAGNITUDE_BLOCK", block)
+        assert max_finite_magnitude(arr) == want
+    assert max_finite_magnitude(arr) == want
+
+
+def test_max_finite_magnitude_peak_memory_is_a_fraction_of_its_input():
+    n = 1024
+    values = np.random.default_rng(5).uniform(-100.0, 100.0, size=(n, n))
+    values[::7] = math.inf
+    want = np.abs(values[np.isfinite(values)]).max()
+    tracemalloc.start()
+    try:
+        got = max_finite_magnitude(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 0.25 * n * n * 8, f"peak {peak / (n * n * 8):.3f} n^2 float64"

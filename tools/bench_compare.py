@@ -5,9 +5,12 @@
 For every perfbench run (workload and trace mode) and every metric present
 in both files, and for every `btas bench` cell (algorithm, n, workers) in
 both, it prints the old value, the new value and the ratio new/old, and
-marks with `*` a ratio that is off 1 by more than 10 %.  It only reports
-and always exits 0: a mark is a lead to look into, not a verdict, since
-timings on a shared 2-vCPU VM drift by up to 11 % between runs.
+marks with `*` a ratio that is off 1 by more than 10 %.  Where either file
+holds repeated runs of a perfbench run, it also prints the old and the new
+[min, max] over the repeats (`-` for a file with one run), so that a ratio
+can be set against the spread between runs.  It only reports and always
+exits 0: a mark is a lead to look into, not a verdict, since timings on a
+shared 2-vCPU VM drift by up to 11 % between runs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ def _line(label: str, old: float, new: float) -> str:
     return f"{label:66} {old:>12.6g} {new:>12.6g} {ratio:>7.3f}x{mark}"
 
 
+def _spread(run: dict, metric: str) -> str:
+    """[min, max] of metric over the run's repeats, `-` for a run without them."""
+    values = [r["metrics"][metric]["value"] for r in run.get("repeats", ()) if metric in r["metrics"]]
+    return f"[{min(values):.6g}, {max(values):.6g}]" if values else "-"
+
+
 def compare(old: dict, new: dict) -> "list[str]":
     """The report lines for snapshots old and new, in old's order."""
     lines = []
@@ -35,10 +44,14 @@ def compare(old: dict, new: dict) -> "list[str]":
     for run, old_run in old["perfbench"]["runs"].items():
         if run not in new_runs:
             continue
-        new_metrics = new_runs[run]["result"]["metrics"]
+        new_run = new_runs[run]
+        new_metrics = new_run["result"]["metrics"]
         for metric, entry in old_run["result"]["metrics"].items():
             if metric in new_metrics:
-                lines.append(_line(f"{run}  {metric}", entry["value"], new_metrics[metric]["value"]))
+                line = _line(f"{run}  {metric}", entry["value"], new_metrics[metric]["value"])
+                if "repeats" in old_run or "repeats" in new_run:
+                    line = f"{line:103}  {_spread(old_run, metric)} -> {_spread(new_run, metric)}"
+                lines.append(line)
     header = old["bench"]["header"]
     key = [header.index(name) for name in ("algorithm", "n", "worker_count")]
     median = header.index("median_seconds")

@@ -2,10 +2,14 @@
 
     python3 tools/bench_snapshot.py --out BENCH_002.json [--checkout DIR]
 
-For each perfbench workload it runs `perfbench/run.py --trace 0` and
-`--trace 1` in the checkout, with seed 1 and the `run_seconds` of the
-checkout's BENCHMARK.json, and keeps the final JSON line of each (with the
-facts line printed before it), then runs
+For each perfbench workload it runs `perfbench/run.py --trace 0` three
+times and `--trace 1` once in the checkout, with seed 1 and the
+`run_seconds` of the checkout's BENCHMARK.json, and keeps the final JSON
+line of each (with the facts line printed before it).  Of the three
+`--trace 0` runs, the one with the median `op_p50_s` is stored as the
+run's `result`, as a snapshot with one run per mode stores its only run,
+and all three results are kept under `repeats`, so that a comparison can
+tell a change from the spread between runs.  Then it runs
 `btas bench --sizes 128,256,512,1024 --algorithm all --workers 1,2` and keeps
 its CSV as rows.  Runs are sequential; nothing else should load the machine
 meanwhile.  The checkout defaults to the one holding this script; point it
@@ -24,6 +28,8 @@ from pathlib import Path
 
 WORKLOADS = ("solve-dense", "solve-fw-sparse", "verify-mixed", "kernel-mix")
 SEED = 1
+#: `--trace 0` runs per workload; the one with the median op_p50_s is the `result`.
+REPEATS = 3
 BENCH_ARGS = ["bench", "--sizes", "128,256,512,1024", "--algorithm", "all", "--workers", "1,2"]
 
 
@@ -54,8 +60,15 @@ def main() -> int:
         for trace in (0, 1):
             argv = ["perfbench/run.py", "--workload", workload, "--seed", str(SEED),
                     "--seconds", str(seconds), "--trace", str(trace)]
-            facts, result = _run(args.checkout, argv).strip().splitlines()[-2:]
-            runs[f"{workload} --trace {trace}"] = {**json.loads(facts), "result": json.loads(result)}
+            repeats = []
+            for _ in range(REPEATS if trace == 0 else 1):
+                facts, result = _run(args.checkout, argv).strip().splitlines()[-2:]
+                repeats.append({**json.loads(facts), "result": json.loads(result)})
+            repeats.sort(key=lambda run: run["result"]["metrics"]["op_p50_s"]["value"])
+            run = repeats[len(repeats) // 2]
+            if len(repeats) > 1:
+                run["repeats"] = [r["result"] for r in repeats]
+            runs[f"{workload} --trace {trace}"] = run
             print(f"{workload} --trace {trace}: done", file=sys.stderr)
     header, *rows = csv.reader(_run(args.checkout, ["-m", "btas", *BENCH_ARGS]).splitlines())
     snapshot = {
