@@ -89,7 +89,6 @@ def max_finite_magnitude(values: np.ndarray) -> float:
 
     |v| and its mask are taken a block of rows at a time, so they stay
     about _MAGNITUDE_BLOCK entries whatever the size of values."""
-    values = np.atleast_1d(values)
     step = max(1, _MAGNITUDE_BLOCK // max(1, values[:1].size))  # rows per block
     best = 0.0
     for r0 in range(0, len(values), step):
