@@ -123,31 +123,19 @@ def _relax(rows: np.ndarray, pivots: np.ndarray, k0: int, cand: np.ndarray,
     return saturated
 
 
-def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
-    """Floyd-Warshall in row blocks; the sequential reference.
+def _relax_all(d: np.ndarray, b: int, limit: "float | None") -> bool:
+    """Floyd-Warshall's n rounds on d in place, in blocks of b; report saturation.
 
-    Round k relaxes every row i as d(i,:) = d(i,:) ⊕ (d(i,k) ⊗ d(k,:)).
     The rounds are taken in blocks K = [k0, k0+b).  First the panel rows K
     run through the rounds in K, and row k is copied as round k starts.
     Then every other row, in strips of b, runs through the rounds in K
-    against those snapshots.  Each row sees its rounds in order and row k
-    as round k found it, which by the module docstring's argument keeps
-    every bit of the k-outermost loop.  A strip and its candidate buffer
-    each get half of matmul's per-task byte budget, so the pair stays in
-    cache as n grows; when b = n there is one block, no snapshot, and the
-    loop is the plain k-outermost one.  No threads and no matmul, so it
-    stays an independent check on the squaring route.
+    against those snapshots.
     """
-    n = _require_square_minplus(adj)
-    d = _closure_base(adj)  # the one copy of the input; relaxed in place
-    b = max(1, min(n, _TASK_BYTES // (16 * n)))
-
-    # relaxation candidates are sums of two at-most-(n+1)-edge path weights
-    limit = _saturation_limit(2.0 * (n + 1) * max_finite_magnitude(d), adj.integer)
+    n = len(d)
     cand = _aligned_empty(b * n)  # a misaligned cand made each k-round 20-30% slower
     snap = _aligned_empty(b * n).reshape(b, n) if b < n else None
     saturated = False
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n, b):
             panel = d[k0 : k0 + b]
             snapshots = None if snap is None else snap[: len(panel)]
@@ -155,6 +143,42 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
             for r0 in range(0, n, b):
                 if r0 != k0:
                     saturated |= _relax(d[r0 : r0 + b], snapshots, k0, cand, limit)
+    return saturated
+
+
+def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
+    """Floyd-Warshall in row blocks; the sequential reference.
+
+    Round k relaxes every row i as d(i,:) = d(i,:) ⊕ (d(i,k) ⊗ d(k,:)).
+    The rounds run in blocks of b and the rows in strips of b (_relax_all).
+    Each row sees its rounds in order and row k as round k found it, which
+    by the module docstring's argument keeps every bit of the k-outermost
+    loop.  A strip and its candidate buffer each get half of matmul's
+    per-task byte budget, so the pair stays in cache as n grows; when
+    b = n there is one block, no snapshot, and the loop is the plain
+    k-outermost one.  No threads and no matmul, so it stays an independent
+    check on the squaring route.
+
+    Saturation: a finite+finite sum whose magnitude reaches the limit (2^53
+    in integer mode, overflow in float mode) becomes Infinity, as in
+    matmul.  Masking is skipped while 2(n+1)·max|d| stays under the limit.
+    That screen bounds every sum from above even with negative cycles, as
+    an entry never exceeds the weight of a simple path, but a negative
+    cycle can drive entries down exponentially in n (Hougardy, IPL 110,
+    2010).  Entries only decrease, so a sum that went below -limit leaves
+    an entry there, or -inf or NaN; when the unmasked pass ends with one,
+    the rounds run again from the input with masking on.
+    """
+    n = _require_square_minplus(adj)
+    d = _closure_base(adj)  # the one copy of the input; relaxed in place
+    b = max(1, min(n, _TASK_BYTES // (16 * n)))
+    threshold = _saturation_limit(math.inf, adj.integer)  # every bound reaches the threshold itself
+    limit = _saturation_limit(2.0 * (n + 1) * max_finite_magnitude(d), adj.integer)
+    saturated = _relax_all(d, b, limit)
+    if limit is None and not d.min() > -threshold:
+        del d  # so the rerun holds one copy of the input, not two
+        d = _closure_base(adj)
+        saturated = _relax_all(d, b, threshold)
     if saturated:
         _note_saturation()
 

@@ -72,10 +72,15 @@ class SentinelConvention(Enum):
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
 class Graph:
-    """Directed graph on n vertices, built from (src, dst, weight) triples or
-    an (m, 3) array and held as three read-only columns: `src`, `dst` (int64)
-    and finite `weight` (float64), sorted by (src, dst) with each pair once at
-    its minimum weight and -0.0 read as 0.0, so equal graphs compare equal."""
+    """Directed graph on n vertices, held as three read-only columns: `src`,
+    `dst` (int64) and finite `weight` (float64), sorted by (src, dst) with
+    each pair once at its minimum weight and -0.0 read as 0.0, so equal
+    graphs compare equal.
+
+    Graph(n, edges) takes (src, dst, weight) triples or an (m, 3) array and
+    is where an edge table is checked: integer vertices in 0..n-1 and finite
+    weights.  The readers, random_graph and matrix_to_graph hand columns
+    they have already checked to _edge_graph, which only normalizes them."""
 
     n: int
     src: np.ndarray
@@ -88,18 +93,25 @@ class Graph:
         table = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
         columns = table.T.copy()  # contiguous src, dst and weight rows: much faster to check than table
         ends, weight = columns[:2], columns[2]
-        weight += 0.0  # turns -0.0 into 0.0
         ok = ((ends >= 0) & (ends < n) & (ends == np.trunc(ends))).all(axis=0) & np.isfinite(weight)
         if not ok.all():
             raise ValueError(f"edge {table[ok.argmin()].tolist()} needs vertices in 0..{n - 1} and a finite weight")
         src, dst = ends.astype(np.int64)
-        key = src * n + dst  # orders pairs by (src, dst); n <= _MAX_VERTICES keeps it in int64
+        self._normalize(n, src, dst, weight)
+
+    def _normalize(self, n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> None:
+        """Set the fields from edge columns: sorted by (src, dst), each pair
+        once at its minimum weight, -0.0 read as 0.0.  The inputs are not written."""
+        key = src * n  # orders pairs by (src, dst); n <= _MAX_VERTICES keeps it in int64
+        key += dst
         order = np.argsort(key)
         key, weight = key[order], weight[order]
         first = np.flatnonzero(np.diff(key, prepend=-1))  # where each pair's run starts
         src, dst = np.divmod(key[first], n)
+        weight = np.minimum.reduceat(weight, first)
+        weight += 0.0  # turns -0.0 into 0.0
         object.__setattr__(self, "n", n)
-        for name, column in (("src", src), ("dst", dst), ("weight", np.minimum.reduceat(weight, first))):
+        for name, column in (("src", src), ("dst", dst), ("weight", weight)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -285,9 +297,15 @@ def _read_edges(body: "list[tuple[int, str]]", n: int, m: int, header_no: int) -
 
 
 def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> Graph:
-    """The Graph of these edge columns without their non-negative self-loops."""
+    """The Graph of these edge columns without their non-negative self-loops.
+    The columns must hold vertices in 0..n-1 and finite weights: they are
+    normalized, not checked."""
     keep = (src != dst) | (weight < 0.0)
-    return Graph(n, np.column_stack((src[keep], dst[keep], weight[keep])))
+    if not keep.all():  # copying only then keeps 24 B per edge off the reader's peak
+        src, dst, weight = src[keep], dst[keep], weight[keep]
+    g = object.__new__(Graph)
+    g._normalize(n, src, dst, weight)
+    return g
 
 
 def _format_block(block: np.ndarray, integer: bool) -> "Iterable[list[str]]":
@@ -314,9 +332,10 @@ def edge_list_to_text(g: Graph) -> str:
 def graph_to_matrix(g: Graph) -> TropicalMatrix:
     """Min-plus adjacency matrix: diagonal 0, absent edges Infinity."""
     arr = np.full((g.n, g.n), math.inf)
-    np.fill_diagonal(arr, 0.0)
-    arr[g.src, g.dst] = np.minimum(arr[g.src, g.dst], g.weight)  # Graph holds each (src, dst) pair once
-    return TropicalMatrix(SemiringKind.MIN_PLUS, arr)
+    arr[g.src, g.dst] = g.weight  # Graph holds each (src, dst) pair once
+    np.fill_diagonal(arr, np.minimum(np.diagonal(arr), 0.0))  # a self-loop counts only below 0
+    # Graph weights are finite with no -0.0, so arr already meets the weight rule: adopt it without a copy
+    return TropicalMatrix._wrap(SemiringKind.MIN_PLUS, arr, exact_integers(arr))
 
 
 def matrix_to_graph(m: TropicalMatrix) -> Graph:
@@ -329,10 +348,8 @@ def matrix_to_graph(m: TropicalMatrix) -> Graph:
         raise ValueError("only min-plus matrices describe graphs")
     if m.n_rows != m.n_cols:
         raise ValueError(f"adjacency matrix must be square, got {m.shape}")
-    keep = np.isfinite(m.data)
-    np.fill_diagonal(keep, np.diagonal(m.data) < 0.0)
-    src, dst = np.nonzero(keep)
-    return Graph(m.n_rows, np.column_stack((src, dst, m.data[src, dst])))
+    src, dst = np.nonzero(np.isfinite(m.data))
+    return _edge_graph(m.n_rows, src, dst, m.data[src, dst])
 
 
 def matrix_to_text(m: TropicalMatrix) -> str:
@@ -442,4 +459,4 @@ def random_graph(
         weights = rng.integers(int(low), int(high) + 1, size=src.size).astype(np.float64)
     else:
         weights = rng.uniform(low, high, size=src.size)
-    return Graph(n, np.column_stack((src, dst, weights)))
+    return _edge_graph(n, src, dst, weights)

@@ -122,19 +122,17 @@ def has_negative_cycle(n, edges):
 def floyd_warshall_reference(rows, integer):
     """The k-outermost min-plus Floyd-Warshall, one entry at a time.
 
-    rows is an adjacency grid with math.inf for no edge.  It mirrors the
-    library's saturation screen: when 2(n+1)·max|finite entry| reaches the
-    limit (2^53 in integer mode, overflow otherwise), a finite+finite sum
-    whose magnitude reaches it becomes math.inf.  Returns (distances,
-    negative_cycle, saturated).
+    rows is an adjacency grid with math.inf for no edge.  Every
+    finite+finite sum whose magnitude reaches the limit (2^53 in integer
+    mode, overflow otherwise) becomes math.inf, with no screen deciding
+    beforehand whether any sum can.  Returns (distances, negative_cycle,
+    saturated).
     """
     n = len(rows)
     d = [list(row) for row in rows]
     for i in range(n):
         d[i][i] = min(d[i][i], 0.0)
     limit = 2.0**53 if integer else math.inf
-    magnitude = max((abs(v) for row in d for v in row if math.isfinite(v)), default=0.0)
-    screened = 2.0 * (n + 1) * magnitude >= limit
     saturated = False
     for k in range(n):
         pivot = list(d[k])  # row k as it stood when round k began
@@ -142,7 +140,7 @@ def floyd_warshall_reference(rows, integer):
             x = d[i][k]
             for j in range(n):
                 s = x + pivot[j]
-                if screened and math.isfinite(x) and math.isfinite(pivot[j]) and abs(s) >= limit:
+                if math.isfinite(x) and math.isfinite(pivot[j]) and abs(s) >= limit:
                     s = math.inf
                     saturated = True
                 if s < d[i][j]:

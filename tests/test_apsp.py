@@ -329,6 +329,58 @@ def test_floyd_warshall_float_saturation_on_overflow():
     reset_saturation()
 
 
+@pytest.mark.parametrize("weight", [-1e300, -1.0])
+def test_floyd_warshall_saturates_what_a_negative_cycle_drives_past_the_limit(weight):
+    """A complete digraph of negative edges: its screen 2(n+1)·max|w| stays
+    under the limit, yet unmasked rounds drive every entry to -inf (float)
+    or far below -2^53 (integer), since a negative cycle can double an
+    entry each round."""
+    n = 64
+    adj = graph_to_matrix(Graph(n, [(i, j, weight) for i in range(n) for j in range(n) if i != j]))
+    assert 2.0 * (n + 1) * abs(weight) < (2.0**53 if adj.integer else INF)
+    want, cycle, saturated = oracles.floyd_warshall_reference(adj.to_lists(), adj.integer)
+    reset_saturation()
+    report = floyd_warshall(adj)
+    dist = report.distances.dist
+    assert dist.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert report.negative_cycle and cycle
+    assert saturation_seen() and saturated
+    assert dist.integer == (weight == -1.0)
+    assert not np.isneginf(dist.data).any()
+    if dist.integer:
+        assert (np.abs(dist.data[np.isfinite(dist.data)]) < 2.0**53).all()
+    reset_saturation()
+
+
+@st.composite
+def graphs_with_large_negative_cycles(draw):
+    """Dense graphs whose weights are small multiples of one scale, chosen
+    so the screen 2(n+1)·max|w| stays under the limit (2^53 for integers,
+    overflow for floats) while negative cycles can still drive entries past it."""
+    n = draw(st.integers(1, 9))
+    top = 50 if draw(st.booleans()) else 1020  # 2^50: integer weights, 2^1020: float weights
+    scale = 2.0 ** (top - math.ceil(math.log2(n + 1)) - draw(st.integers(0, 2)))
+    vertex, multiple = st.integers(0, n - 1), st.sampled_from([-3, -2, -1, 1, 2])
+    edges = draw(st.lists(st.tuples(vertex, vertex, multiple), min_size=n * n // 2, max_size=2 * n * n))
+    return Graph(n, [(s, d, m * scale) for s, d, m in edges])
+
+
+@given(graphs_with_large_negative_cycles(), st.data())
+def test_floyd_warshall_matches_the_always_masking_reference(graph, data):
+    """Same bytes, negative-cycle flag and saturation flag as the oracle,
+    which masks every sum; the rounds run in several blocks."""
+    adj = graph_to_matrix(graph)
+    want, cycle, saturated = oracles.floyd_warshall_reference(adj.to_lists(), adj.integer)
+    with pytest.MonkeyPatch.context() as patch:
+        _shrink_budget(patch, graph.n, data.draw(st.integers(1, graph.n)))
+        reset_saturation()
+        report = floyd_warshall(adj)
+    assert report.distances.dist.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert report.negative_cycle == cycle
+    assert saturation_seen() == saturated
+    reset_saturation()
+
+
 def test_floyd_warshall_peak_memory_on_a_dense_graph():
     """FW holds one copy of the input and one candidate buffer: its peak
     stays below 2.5 n x n float64 matrices."""

@@ -96,7 +96,14 @@ def test_graph_normalizes_duplicates_and_order():
     assert g.edges == ((0, 1, 2.0), (2, 1, 4.0))
 
 
-def test_graph_from_an_array_equals_graph_from_triples():
+def _assert_same_columns(got, want):
+    assert got == want  # equal n and equal column bytes
+    for name in ("src", "dst", "weight"):
+        column = getattr(got, name)
+        assert column.dtype == getattr(want, name).dtype and not column.flags.writeable
+
+
+def test_graph_from_an_array_equals_graph_from_triples(monkeypatch):
     triples = ((2, 1, 4.0), (0, 1, 9.0), (0, 1, -0.0), (1, 0, 2.5))
     from_array = Graph(3, np.array(triples))
     assert from_array == Graph(3, triples)
@@ -104,6 +111,29 @@ def test_graph_from_an_array_equals_graph_from_triples():
     assert from_array.edges == ((0, 1, 0.0), (1, 0, 2.5), (2, 1, 4.0))
     assert not np.signbit(from_array.weight).any()
     assert [type(v) for v in from_array.edges[0]] == [int, int, float]
+
+    # the readers, random_graph and matrix_to_graph build the Graph(n, table)
+    # of their edges, less the non-negative self-loops, without the table
+    table = [*triples, (2, 1, -0.0), (1, 0, 2.5), (2, 2, -1.5), (2, 2, -0.5), (1, 1, 0.0), (0, 0, 3.0), (0, 2, -7.0)]
+    kept = Graph(3, [(s, t, w) for s, t, w in table if s != t or w < 0.0])
+    text = f"3 {len(table)}\n" + "".join(f"{s} {t} {w!r}\n" for s, t, w in table)
+
+    def unreachable(*args):
+        raise AssertionError("the other path ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_io, "_read_edges", unreachable)
+        _assert_same_columns(parse_edge_list(text), kept)
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_io, "_fast_rows", lambda *args, **kwargs: None)
+        _assert_same_columns(parse_edge_list(text), kept)
+
+    grid = [[INF, -0.0, 1.5], [2.0, -4.0, INF], [-0.0, 8.0, 0.0]]
+    edges = [(i, j, w) for i, row in enumerate(grid) for j, w in enumerate(row) if w != INF and (i != j or w < 0.0)]
+    _assert_same_columns(matrix_to_graph(TropicalMatrix(MIN, grid)), Graph(3, edges))
+
+    generated = random_graph(40, 0.3, (-5, 5), 11)
+    _assert_same_columns(generated, Graph(40, np.array(generated.edges)))
 
 
 @st.composite
@@ -503,6 +533,20 @@ def test_fast_path_refuses_what_numpy_reads_only_with_a_warning(monkeypatch):
         parse_edge_list("2 1\n1.5 0 3\n")
 
 
+def test_graph_to_matrix_peak_memory_is_its_matrix_and_one_temporary():
+    """graph_to_matrix adopts the matrix it fills: its peak is that matrix plus
+    the exact-integer test's temporary, with no copy of the matrix."""
+    n = 256
+    g = random_graph(n, 1.0, (1, 100), 7)
+    tracemalloc.start()
+    try:
+        graph_to_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n^2 float64"
+
+
 def test_parse_edge_list_peak_memory_is_bounded():
     text = edge_list_to_text(random_graph(512, 0.5, (1, 100), 7))  # about 131k edges, 1.3 MiB
     tracemalloc.start()
@@ -511,7 +555,7 @@ def test_parse_edge_list_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @given(st.lists(st.sampled_from(["0", " ", "\t", "#", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d",
