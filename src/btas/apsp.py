@@ -30,6 +30,7 @@ from .matrix import (
     TropicalMatrix,
     _TASK_BYTES,
     _aligned_empty,
+    _reaches,
     _saturate,
     _saturation_limit,
     identity_matrix,
@@ -117,8 +118,16 @@ def _relax(rows: np.ndarray, pivots: np.ndarray, k0: int, cand: np.ndarray,
         if snapshot is not None:
             snapshot[j] = pivot
         np.add.outer(rows[:, k], pivot, out=c)
-        if limit is not None and _saturate(c, rows[:, k, None], pivot[None, :], limit, math.inf):
-            saturated = True
+        if limit is not None:
+            # a candidate meets the entry it would replace, not a ⊕ over k,
+            # so both sides are masked here; a float overflow to +inf on
+            # the high side is Infinity already
+            (low,), (high,) = _reaches(rows[:, k, None], pivot[None, :], limit)
+            if low:
+                _saturate(c, -limit, math.inf)
+            if high and math.isfinite(limit):
+                _saturate(c, limit, math.inf)
+            saturated |= bool(low or high)
         np.minimum(rows, c, out=rows)
     return saturated
 

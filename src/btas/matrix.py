@@ -10,7 +10,14 @@ Determinism contract: entries carry no NaN and no -0.0, so min and max of
 them are exactly associative and commutative.  Any grouping of the k terms
 of a product therefore gives the same bits, and matmul is bit-identical for
 every tile shape, k-block size and worker count.  By default a product runs
-as row strips from tile_plan, with about four strips per available CPU.
+as row strips from tile_plan, with about four strips per available CPU, or
+as one tile when it is too small for the thread pool.
+
+Saturation follows one rule, stated in matmul: a finite+finite sum whose
+magnitude reaches the limit is ε.  A product that can reach the limit at
+all screens each k exactly from the finite extremes of column k of x and
+row k of y.  It masks the side that can win the ⊕ inside the k blocks that
+reach it, and the side that can only lose once per output tile.
 """
 
 from __future__ import annotations
@@ -318,19 +325,27 @@ def _saturation_limit(bound: float, integer: bool) -> "float | None":
     return limit if bound >= limit else None
 
 
-def _saturate(block: np.ndarray, xs: np.ndarray, ys: np.ndarray, limit: float, eps: float) -> bool:
-    """Replace each sum xs + ys in block whose magnitude reached limit by eps.
+def _reaches(x: np.ndarray, y: np.ndarray, limit: float) -> "tuple[np.ndarray, np.ndarray]":
+    """For each k, whether some finite+finite sum x(i,k) + y(k,j) is ≤ -limit,
+    and whether some is ≥ limit.
 
-    Only finite+finite sums saturate; a sum with an infinite operand is a
-    legitimate ε and stays.  Returns whether anything was replaced.
+    Exact from the finite extremes of column k of x and row k of y: rounding
+    is monotone and ±limit is representable, so some sum reaches limit
+    exactly when fl(max + max) does, and -limit exactly when fl(min + min)
+    does.  A column or row with no finite entry reaches neither.
     """
-    bad = np.isinf(block) if math.isinf(limit) else np.abs(block) >= limit
-    bad &= np.isfinite(xs)
-    bad &= np.isfinite(ys)
-    if not bad.any():
-        return False
-    block[bad] = eps
-    return True
+    fx, fy = np.isfinite(x), np.isfinite(y)
+    with np.errstate(over="ignore"):
+        low = np.min(x, axis=0, where=fx, initial=math.inf) + np.min(y, axis=1, where=fy, initial=math.inf)
+        high = np.max(x, axis=0, where=fx, initial=-math.inf) + np.max(y, axis=1, where=fy, initial=-math.inf)
+    return low <= -limit, high >= limit
+
+
+def _saturate(values: np.ndarray, limit: float, eps: float) -> None:
+    """Replace by eps each entry at or past the signed threshold limit:
+    v ≥ limit when limit is positive, v ≤ limit when it is negative."""
+    bad = values >= limit if limit > 0 else values <= limit
+    values[bad] = eps
 
 
 def matmul(
@@ -343,7 +358,19 @@ def matmul(
 
     out(i,j) = ⊕ over k of x(i,k) ⊗ y(k,j), then ⊕ accumulate_into(i,j)
     when given.  accumulate_into is read, never written.  tiles defaults
-    to tile_plan over the available CPUs.
+    to tile_plan over the available CPUs, or to one tile when the product
+    is too small for the pool.
+
+    Saturation: a finite+finite sum whose magnitude reaches the limit (2^53
+    in integer mode, overflow in float mode) is Infinity.  When max|x| +
+    max|y| cannot reach it nothing is masked.  Otherwise _reaches screens
+    each k exactly, which also gives the saturation flag.  A sum on the side
+    that can win the ⊕ (≤ -limit for min-plus, ≥ limit for max-plus) is
+    masked in each k block whose screen reaches that side; oriented data
+    has only ε for an infinity, so such a sum has two finite operands.  A
+    sum on the other side can only lose the ⊕, so it is masked once on the
+    reduced tile: min over k of the sums, then "≥ limit → ε", equals the
+    other order.  In float mode that side overflows to ε already.
     """
     _check_same_kind(x, y)
     if x.n_cols != y.n_rows:
@@ -360,14 +387,32 @@ def matmul(
         accd = accumulate_into.data
 
     nr, nc, nk = x.n_rows, y.n_cols, x.n_cols
-    spec = tiles if tiles is not None else tile_plan(nr, nc, available_parallelism())
+    inline = nr * nc * nk < _PARALLEL_MIN_OPS
+    if tiles is not None:
+        spec = tiles
+    else:
+        spec = TileSpec(nr, nc, 1) if inline else tile_plan(nr, nc, available_parallelism())
     out = np.empty((nr, nc), dtype=np.float64)
     combine = _combine_ufunc(x.kind)
     eps = _oriented_infinity(x.kind)
-    # |a + b| ≤ max|x| + max|y| entrywise
-    sat_limit = _saturation_limit(max_finite_magnitude(x.data) + max_finite_magnitude(y.data), integer)
     rows, cols = min(spec.tile_rows, nr), min(spec.tile_cols, nc)
     kb = min(nk, max(1, _TASK_BYTES // (8 * rows * cols)))
+
+    saturated = False
+    win_blocks = None  # per k block, whether it holds a sum on the winning side
+    win_limit = lose_limit = None
+    # |a + b| ≤ max|x| + max|y| entrywise
+    limit = _saturation_limit(max_finite_magnitude(x.data) + max_finite_magnitude(y.data), integer)
+    if limit is not None:
+        low, high = _reaches(x.data, y.data, limit)
+        saturated = bool(low.any() or high.any())
+        if x.kind is SemiringKind.MIN_PLUS:
+            win, win_limit, lose, lose_limit = low, -limit, high, limit
+        else:
+            win, win_limit, lose, lose_limit = high, limit, low, -limit
+        win_blocks = [bool(win[k0 : k0 + kb].any()) for k0 in range(0, nk, kb)]
+        if not (lose.any() and math.isfinite(limit)):
+            lose_limit = None
 
     spans = [
         (r0, min(r0 + spec.tile_rows, nr), c0, min(c0 + spec.tile_cols, nc))
@@ -375,41 +420,39 @@ def matmul(
         for c0 in range(0, nc, spec.tile_cols)
     ]
 
-    def run(share: "list[tuple[int, int, int, int]]") -> bool:
-        """Fill each tile in share, folding k in blocks of kb; report saturation.
+    def run(share: "list[tuple[int, int, int, int]]") -> None:
+        """Fill each tile in share, folding k in blocks of kb.
 
         One block buffer and one reduce buffer serve every tile of the share.
         """
         block_buf = _aligned_empty(rows * kb * cols)
         reduce_buf = _aligned_empty(rows * cols) if kb < nk else None
-        saturated = False
         for r0, r1, c0, c1 in share:
             tile = out[r0:r1, c0:c1]
             for k0 in range(0, nk, kb):
                 k1 = min(k0 + kb, nk)
-                xs = x.data[r0:r1, k0:k1, None]
-                ys = y.data[None, k0:k1, c0:c1]
                 block = block_buf[: (r1 - r0) * (k1 - k0) * (c1 - c0)].reshape(r1 - r0, k1 - k0, c1 - c0)
                 with np.errstate(over="ignore"):
-                    np.add(xs, ys, out=block)
-                if sat_limit is not None and _saturate(block, xs, ys, sat_limit, eps):
-                    saturated = True
+                    np.add(x.data[r0:r1, k0:k1, None], y.data[None, k0:k1, c0:c1], out=block)
+                if win_blocks is not None and win_blocks[k0 // kb]:
+                    _saturate(block, win_limit, eps)
                 part = tile if k0 == 0 else reduce_buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
                 combine.reduce(block, axis=1, out=part)
                 if k0:
                     combine(tile, part, out=tile)
+            if lose_limit is not None:
+                _saturate(tile, lose_limit, eps)
             if accd is not None:
                 combine(tile, accd[r0:r1, c0:c1], out=tile)
-        return saturated
 
     # ufuncs on slices this large release the GIL, so threads genuinely
     # overlap; tiny problems skip the pool entirely.
-    fan_out = min(spec.worker_count, len(spans), available_parallelism())
-    if fan_out == 1 or nr * nc * nk < _PARALLEL_MIN_OPS:
-        saturated = run(spans)
+    fan_out = 1 if inline else min(spec.worker_count, len(spans), available_parallelism())
+    if fan_out == 1:
+        run(spans)
     else:
         # list() waits for every share, so out is complete and errors surface
-        saturated = any(list(_shared_pool().map(run, [spans[i::fan_out] for i in range(fan_out)])))
+        list(_shared_pool().map(run, [spans[i::fan_out] for i in range(fan_out)]))
     if saturated:
         _note_saturation()
     return TropicalMatrix._wrap(x.kind, out, integer)

@@ -80,27 +80,39 @@ def weights_ok(values: np.ndarray, finite: bool = False) -> bool:
     return bool((np.isfinite(values) if finite else values > -math.inf).all())
 
 
-#: max_finite_magnitude reads its input in leading-axis blocks of about this many entries.
+#: max_finite_magnitude and exact_integers read their input in leading-axis
+#: blocks of about this many entries.
 _MAGNITUDE_BLOCK = 1 << 14
 
 
-def max_finite_magnitude(values: np.ndarray) -> float:
-    """max |v| over the finite entries, 0.0 when there are none.
+def _finite_magnitudes(values: np.ndarray):
+    """|v| for each leading-axis block of values, infinities as 0.0.
 
-    |v| and its mask are taken a block of rows at a time, so they stay
-    about _MAGNITUDE_BLOCK entries whatever the size of values."""
+    Every block is written into one buffer of about _MAGNITUDE_BLOCK
+    entries, whatever the size of values, so each must be used before the
+    next is asked for.  A fresh array per block would hold two blocks at
+    once while the next one is taken."""
     step = max(1, _MAGNITUDE_BLOCK // max(1, values[:1].size))  # rows per block
-    best = 0.0
+    buf = np.empty((min(step, len(values)),) + values.shape[1:])
     for r0 in range(0, len(values), step):
-        magnitudes = np.abs(values[r0 : r0 + step])
+        block = values[r0 : r0 + step]
+        magnitudes = np.abs(block, out=buf[: len(block)])
         magnitudes[magnitudes == math.inf] = 0.0  # about twice as fast as a max with where=np.isfinite(values)
-        best = max(best, float(magnitudes.max(initial=0.0)))
-    return best
+        yield magnitudes
+
+
+def max_finite_magnitude(values: np.ndarray) -> float:
+    """max |v| over the finite entries, 0.0 when there are none."""
+    return max((float(m.max(initial=0.0)) for m in _finite_magnitudes(values)), default=0.0)
 
 
 def exact_integers(values: np.ndarray) -> bool:
-    """True iff every finite entry is integral and below INT_EXACT_LIMIT in magnitude."""
-    return max_finite_magnitude(values) < INT_EXACT_LIMIT and bool((values == np.trunc(values)).all())
+    """True iff every finite entry is integral and below INT_EXACT_LIMIT in magnitude.
+
+    |v| is integral exactly when v is, so one block of magnitudes serves both tests."""
+    return all(
+        m.max(initial=0.0) < INT_EXACT_LIMIT and (np.trunc(m) == m).all() for m in _finite_magnitudes(values)
+    )
 
 
 def format_weights(values: "list[float]", integer: bool) -> "list[str]":

@@ -50,6 +50,26 @@ def naive_matmul(kind, x, y):
     return out
 
 
+def naive_matmul_saturating(kind, x, y, limit):
+    """naive_matmul where each finite+finite sum whose magnitude reaches
+    limit (2^53 in integer mode, math.inf for overflow in float mode)
+    becomes None.  Returns (product, whether any sum did)."""
+    n, inner, m = len(x), len(y), len(y[0])
+    assert len(x[0]) == inner
+    out = [[None] * m for _ in range(n)]
+    saturated = False
+    for i, j in product(range(n), range(m)):
+        acc = None
+        for k in range(inner):
+            s = o_mul(x[i][k], y[k][j])
+            if s is not None and abs(s) >= limit:
+                s = None
+                saturated = True
+            acc = o_add(kind, acc, s)
+        out[i][j] = acc
+    return out, saturated
+
+
 def naive_power(kind, x, p):
     """p-1 successive naive multiplications."""
     out = x

@@ -329,6 +329,28 @@ def test_floyd_warshall_float_saturation_on_overflow():
     reset_saturation()
 
 
+@pytest.mark.parametrize("weight", [3.0 * 2**50, 1e308])
+def test_floyd_warshall_saturates_upward_sums_that_no_shorter_path_undercuts(weight):
+    """A chain of three equal positive edges: the two- and three-edge sums
+    reach 2^53 (integer) or overflow (float), and no other path is finite,
+    so the saturated sum is the only candidate and must itself become
+    no-path."""
+    adj = graph_to_matrix(Graph(4, ((0, 1, weight), (1, 2, weight), (2, 3, weight))))
+    want, cycle, saturated = oracles.floyd_warshall_reference(adj.to_lists(), adj.integer)
+    reset_saturation()
+    report = floyd_warshall(adj)
+    assert report.distances.dist.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert saturation_seen() and saturated and not cycle
+    two = 2 * weight if adj.integer else INF  # 3·2^51 stays below 2^53
+    assert report.distances.dist.to_lists() == [
+        [0, weight, two, INF],
+        [INF, 0, weight, two],
+        [INF, INF, 0, weight],
+        [INF, INF, INF, 0],
+    ]
+    reset_saturation()
+
+
 @pytest.mark.parametrize("weight", [-1e300, -1.0])
 def test_floyd_warshall_saturates_what_a_negative_cycle_drives_past_the_limit(weight):
     """A complete digraph of negative edges: its screen 2(n+1)·max|w| stays

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import threading
 
 import numpy as np
@@ -426,6 +427,90 @@ def test_k_blocks_saturate_like_a_single_block(monkeypatch):
         got = matmul(TropicalMatrix(MIN, xg), TropicalMatrix(MIN, yg), tiles=spec)
         assert got.integer and got.tobytes() == TropicalMatrix(MIN, want).tobytes()
         assert saturation_seen()
+    reset_saturation()
+
+
+# magnitudes whose sums land on both sides of 2^53 (2^52 + 2^52 reaches it exactly)
+NEAR_2_53 = (2.0**52, 2.0**52 - 1, 2.0**52 + 1, 3.0 * 2**51, 2.0**53 - 1)
+# magnitudes whose sums land on both sides of overflow: 2^1023 + its predecessor
+# rounds up to 2^1024, the largest double plus a small weight rounds back to it
+NEAR_OVERFLOW = (2.0**1023, math.nextafter(2.0**1023, 0.0), sys.float_info.max, 1e308, 0.5)
+
+
+def _edge_entries(magnitudes):
+    return st.one_of(
+        st.sampled_from(magnitudes),
+        st.sampled_from(magnitudes).map(lambda v: -v),
+        st.integers(min_value=-9, max_value=9).map(float),
+        st.just(INF),
+    )
+
+
+@st.composite
+def saturating_products(draw):
+    """(kind, integer, x, y, acc or None, tiles or None, _TASK_BYTES or None)"""
+    integer = draw(st.booleans())
+    entry = _edge_entries(NEAR_2_53 if integer else NEAR_2_53 + NEAR_OVERFLOW)
+    r, k, c = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+    x = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+    y = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+    empty = draw(st.sampled_from(["none", "x column", "y row"]))
+    kk = draw(st.integers(min_value=0, max_value=k - 1))
+    if empty == "x column":
+        for row in x:
+            row[kk] = INF
+    elif empty == "y row":
+        y[kk] = [INF] * c
+    acc = draw(st.none() | st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    dim = st.integers(min_value=1, max_value=7)
+    tiles = draw(st.none() | st.builds(TileSpec, dim, dim, st.integers(min_value=1, max_value=3)))
+    # budgets of a few k slices, so k blocks of 1-3 end in a ragged tail
+    task_bytes = draw(st.sampled_from([None, 8, 16, 24, 48, 96, 200]))
+    return draw(kinds), integer, x, y, acc, tiles, task_bytes
+
+
+@given(saturating_products())
+def test_saturating_products_match_the_saturating_oracle(case):
+    kind, integer, xg, yg, acc_grid, tiles, task_bytes = case
+    limit = 2.0**53 if integer else INF
+    want, flag = oracles.naive_matmul_saturating(
+        kind.value, oracles.from_symbolic(xg), oracles.from_symbolic(yg), limit
+    )
+    acc = None
+    if acc_grid is not None:
+        acc = TropicalMatrix(kind, acc_grid, integer=integer)
+        want = [[oracles.o_add(kind.value, w, a) for w, a in zip(wr, ar)]
+                for wr, ar in zip(want, oracles.from_symbolic(acc_grid))]
+    x, y = TropicalMatrix(kind, xg, integer=integer), TropicalMatrix(kind, yg, integer=integer)
+    with pytest.MonkeyPatch.context() as patch:
+        if task_bytes is not None:
+            patch.setattr(matrix_module, "_TASK_BYTES", task_bytes)
+        reset_saturation()
+        got = matmul(x, y, accumulate_into=acc, tiles=tiles)
+        seen = saturation_seen()
+        reset_saturation()
+    assert got.integer is integer
+    assert got.tobytes() == TropicalMatrix(kind, oracles.to_symbolic(want)).tobytes()
+    assert seen is flag
+
+
+def test_pool_products_saturate_like_the_oracle(monkeypatch):
+    # large enough to fan out to the pool, with k blocks of 3 over k=40
+    monkeypatch.setattr(matrix_module, "_TASK_BYTES", 8 * 5 * 7 * 3)
+    rng = random.Random(0x5A70)
+    big = 2.0**52
+    for kind in (MIN, MAX):
+        for sign in (1.0, -1.0):
+            pick = (INF, sign * big, sign * (big - 1), float(rng.randint(-9, 9)))
+            xg = [[rng.choice(pick) for _ in range(40)] for _ in range(48)]
+            yg = [[rng.choice(pick) for _ in range(44)] for _ in range(40)]
+            want, flag = oracles.naive_matmul_saturating(
+                kind.value, oracles.from_symbolic(xg), oracles.from_symbolic(yg), 2.0**53
+            )
+            reset_saturation()
+            got = matmul(TropicalMatrix(kind, xg), TropicalMatrix(kind, yg), tiles=TileSpec(5, 7, 4))
+            assert flag and saturation_seen()
+            assert got.tobytes() == TropicalMatrix(kind, oracles.to_symbolic(want)).tobytes()
     reset_saturation()
 
 
