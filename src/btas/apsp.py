@@ -13,6 +13,16 @@ round k began.  So any schedule gives the same bits, saturation and
 negative-cycle flag included, if it applies the rounds to each row in
 order 0..n-1 and hands each row a snapshot of row k taken at the start of
 round k.
+
+Where it is exact, Floyd-Warshall first runs the same schedule in float32,
+in half the bytes.  Weights that are multiples of 2^-s (integers,
+quarter-integers) stay exact in float32 below 2^(24-s).  The overflow
+screen 2(n+1)·max|w| bounds every sum from above; when it stays under
+2^(24-s), a sum can only round on the negative side.  Entries only
+decrease and rounding is monotone, so a rounded sum leaves an entry at or
+below -2^(24-s).  A pass that ends above it has the float64 pass's bits and
+is widened in place into the float64 result; any other pass is dropped and
+the float64 pass runs from the input.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from .matrix import (
     identity_matrix,
     matmul,
 )
-from .semiring import SemiringKind, _note_saturation, max_finite_magnitude
+from .semiring import SINGLE_EXACT_LIMIT, SemiringKind, _note_saturation, dyadic_scale, max_finite_magnitude
 
 
 class Algorithm(Enum):
@@ -132,17 +142,19 @@ def _relax(rows: np.ndarray, pivots: np.ndarray, k0: int, cand: np.ndarray,
     return saturated
 
 
-def _relax_all(d: np.ndarray, b: int, limit: "float | None") -> bool:
+def _relax_all(d: np.ndarray, b: int, limit: "float | None", floor: "float | None" = None) -> bool:
     """Floyd-Warshall's n rounds on d in place, in blocks of b; report saturation.
 
     The rounds are taken in blocks K = [k0, k0+b).  First the panel rows K
     run through the rounds in K, and row k is copied as round k starts.
     Then every other row, in strips of b, runs through the rounds in K
-    against those snapshots.
+    against those snapshots.  With a floor, the rounds stop after a block
+    that leaves an entry at or below it: entries only decrease, so the
+    caller, which reruns on such an entry, sees it at the end as well.
     """
     n = len(d)
-    cand = _aligned_empty(b * n)  # a misaligned cand made each k-round 20-30% slower
-    snap = _aligned_empty(b * n).reshape(b, n) if b < n else None
+    cand = _aligned_empty(b * n, d.dtype)  # a misaligned cand made each k-round 20-30% slower
+    snap = _aligned_empty(b * n, d.dtype).reshape(b, n) if b < n else None
     saturated = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n, b):
@@ -152,7 +164,43 @@ def _relax_all(d: np.ndarray, b: int, limit: "float | None") -> bool:
             for r0 in range(0, n, b):
                 if r0 != k0:
                     saturated |= _relax(d[r0 : r0 + b], snapshots, k0, cand, limit)
+            if floor is not None and k0 + b < n and not d.min() > floor:
+                break
     return saturated
+
+
+def _widen(narrow: np.ndarray, d: np.ndarray) -> None:
+    """Write narrow, a float32 view of the first half of d's buffer, over d as float64.
+
+    Float64 row i covers float32 rows 2i and 2i+1, and for i ≥ 1 it lies
+    past float32 row i.  So rows go from n-1 down to 1 in blocks [i0, i1)
+    with i1 ≤ 2·i0, each landing on float32 rows already widened.  Row 0
+    overlaps its own source, which numpy does not buffer across dtypes,
+    so it goes through a copy.
+    """
+    i1 = len(d)
+    while i1 > 1:
+        i0 = (i1 + 1) // 2
+        d[i0:i1] = narrow[i0:i1]
+        i1 = i0
+    d[0] = narrow[0].copy()
+
+
+def _relax_in_float32(adj: TropicalMatrix, b: int, s: int) -> "np.ndarray | None":
+    """Floyd-Warshall on adj in float32, in the first half of the float64
+    result, which is then widened in place; None when the pass ends with an
+    entry at or below -2^(24-s), where a sum may have rounded (floyd_warshall)."""
+    n = len(adj.data)
+    d = np.empty((n, n))
+    narrow = d.reshape(-1).view(np.float32)[: n * n].reshape(n, n)
+    narrow[...] = adj.data  # exact: each weight is a multiple of 2^-s below 2^(24-s)
+    np.fill_diagonal(narrow, np.minimum(np.diagonal(narrow), 0.0))
+    floor = -SINGLE_EXACT_LIMIT * 2.0**-s
+    _relax_all(narrow, b, None, floor)
+    if not narrow.min() > floor:
+        return None
+    _widen(narrow, d)
+    return d
 
 
 def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
@@ -170,24 +218,43 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
 
     Saturation: a finite+finite sum whose magnitude reaches the limit (2^53
     in integer mode, overflow in float mode) becomes Infinity, as in
-    matmul.  Masking is skipped while 2(n+1)·max|d| stays under the limit.
+    matmul.  Masking is skipped while 2(n+1)·max|w| stays under the limit.
     That screen bounds every sum from above even with negative cycles, as
-    an entry never exceeds the weight of a simple path, but a negative
-    cycle can drive entries down exponentially in n (Hougardy, IPL 110,
-    2010).  Entries only decrease, so a sum that went below -limit leaves
-    an entry there, or -inf or NaN; when the unmasked pass ends with one,
-    the rounds run again from the input with masking on.
+    an entry never exceeds its initial value, but a negative cycle can
+    drive entries down exponentially in n (Hougardy, IPL 110, 2010).
+    Entries only decrease, so a sum that went below -limit leaves an entry
+    there, or -inf or NaN; when the unmasked pass ends with one, the
+    rounds run again from the input with masking on.
+
+    Float32: when every finite weight is a multiple of 2^-s and the screen
+    stays under 2^(24-s) (dyadic_scale; s = 0 for integers, 2 for
+    quarter-integers), the rounds first run in float32, in half the bytes.
+    Every entry and sum is then a multiple of 2^-s, exact in float32 while
+    its magnitude stays under 2^(24-s).  The screen bounds every sum from
+    above, so a sum can only round on the negative side, at or below
+    -2^(24-s); rounding is monotone and entries only decrease, so the first
+    such sum leaves an entry there (or -inf, or NaN) to the end.  A pass
+    that ends above -2^(24-s) computed every sum exactly, so it has the
+    float64 pass's bits, negative-cycle flag and (clear) saturation flag.
+    Its float32 matrix is the first half of the float64 result's buffer and
+    is widened in place (_widen), so the pass needs no second n x n array.
+    Any other pass is dropped and the float64 pass runs from the input.
     """
     n = _require_square_minplus(adj)
-    d = _closure_base(adj)  # the one copy of the input; relaxed in place
     b = max(1, min(n, _TASK_BYTES // (16 * n)))
-    threshold = _saturation_limit(math.inf, adj.integer)  # every bound reaches the threshold itself
-    limit = _saturation_limit(2.0 * (n + 1) * max_finite_magnitude(d), adj.integer)
-    saturated = _relax_all(d, b, limit)
-    if limit is None and not d.min() > -threshold:
-        del d  # so the rerun holds one copy of the input, not two
-        d = _closure_base(adj)
-        saturated = _relax_all(d, b, threshold)
+    bound = 2.0 * (n + 1) * max_finite_magnitude(adj.data)
+    s = dyadic_scale(adj.data, bound)
+    d = None if s is None else _relax_in_float32(adj, b, s)
+    saturated = False
+    if d is None:
+        d = _closure_base(adj)  # the one copy of the input; relaxed in place
+        threshold = _saturation_limit(math.inf, adj.integer)  # every bound reaches the threshold itself
+        limit = _saturation_limit(bound, adj.integer)
+        saturated = _relax_all(d, b, limit, -threshold)  # a masked pass never reaches -threshold
+        if limit is None and not d.min() > -threshold:
+            del d  # so the rerun holds one copy of the input, not two
+            d = _closure_base(adj)
+            saturated = _relax_all(d, b, threshold)
     if saturated:
         _note_saturation()
 

@@ -80,8 +80,8 @@ def weights_ok(values: np.ndarray, finite: bool = False) -> bool:
     return bool((np.isfinite(values) if finite else values > -math.inf).all())
 
 
-#: max_finite_magnitude and exact_integers read their input in leading-axis
-#: blocks of about this many entries.
+#: max_finite_magnitude, exact_integers and dyadic_scale read their input in
+#: leading-axis blocks of about this many entries.
 _MAGNITUDE_BLOCK = 1 << 14
 
 
@@ -113,6 +113,31 @@ def exact_integers(values: np.ndarray) -> bool:
     return all(
         m.max(initial=0.0) < INT_EXACT_LIMIT and (np.trunc(m) == m).all() for m in _finite_magnitudes(values)
     )
+
+
+#: float32's 24-bit significand holds every multiple of 2^-s below 2^(24-s) in magnitude exactly.
+SINGLE_EXACT_LIMIT = float(2**24)
+
+
+def dyadic_scale(values: np.ndarray, bound: float) -> "int | None":
+    """The least s ≥ 0 such that every finite entry is a multiple of 2^-s and
+    bound·2^s < 2^24, or None when there is none (for 0.1 or 1/3, say).
+
+    Sums and differences of multiples of 2^-s are multiples of 2^-s, so a
+    float32 computation whose every sum stays below bound in magnitude is
+    then exact.  Scaling by 2 is exact, so each block of magnitudes is
+    scaled in place until it is integral."""
+    if not bound < SINGLE_EXACT_LIMIT:
+        return None
+    s = 0
+    for m in _finite_magnitudes(values):
+        np.ldexp(m, s, out=m)
+        while not (np.trunc(m) == m).all():
+            s += 1
+            if not math.ldexp(bound, s) < SINGLE_EXACT_LIMIT:
+                return None
+            m *= 2.0
+    return s
 
 
 def format_weights(values: "list[float]", integer: bool) -> "list[str]":

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -55,20 +55,32 @@ def test_three_node_example_floyd_warshall():
     assert_matches_enumeration(THREE_NODE, report)
 
 
-def test_floyd_warshall_candidate_buffer_starts_on_a_cache_line(monkeypatch):
-    addresses = []
+def _recorded_fw_buffers(monkeypatch, adj):
+    """(size, dtype, address mod 64) of each buffer floyd_warshall(adj) takes
+    from _aligned_empty, after checking that recording leaves its bytes alone."""
+    buffers = []
 
-    def recording(size):
-        buf = aligned_empty(size)
-        addresses.append((size, buf.ctypes.data % 64))
+    def recording(size, dtype=np.float64):
+        buf = aligned_empty(size, dtype)
+        buffers.append((size, buf.dtype, buf.ctypes.data % 64))
         return buf
 
     aligned_empty = apsp._aligned_empty
-    adj = graph_to_matrix(random_graph(24, 0.3, (1, 9), 5))
     want = floyd_warshall(adj).distances.dist.tobytes()
-    monkeypatch.setattr(apsp, "_aligned_empty", recording)
-    assert floyd_warshall(adj).distances.dist.tobytes() == want
-    assert addresses == [(24 * 24, 0)]
+    with monkeypatch.context() as patch:
+        patch.setattr(apsp, "_aligned_empty", recording)
+        assert floyd_warshall(adj).distances.dist.tobytes() == want
+    return buffers
+
+
+# integer weights take the float32 pass, non-dyadic ones the float64 pass
+ALIGNMENT_INPUTS = ((np.float32, (1, 9)), (np.float64, (0.1, 9.0)))
+
+
+def test_floyd_warshall_candidate_buffer_starts_on_a_cache_line(monkeypatch):
+    for dtype, weights in ALIGNMENT_INPUTS:
+        adj = graph_to_matrix(random_graph(24, 0.3, weights, 5))
+        assert _recorded_fw_buffers(monkeypatch, adj) == [(24 * 24, np.dtype(dtype), 0)]
 
 
 def test_three_node_example_squaring_agrees():
@@ -480,20 +492,11 @@ def test_floyd_warshall_default_budget_blocks_match_one_block(monkeypatch):
 
 
 def test_floyd_warshall_multi_block_buffers_start_on_cache_lines(monkeypatch):
-    addresses = []
-
-    def recording(size):
-        buf = aligned_empty(size)
-        addresses.append((size, buf.ctypes.data % 64))
-        return buf
-
-    aligned_empty = apsp._aligned_empty
-    adj = graph_to_matrix(random_graph(24, 0.3, (1, 9), 5))
-    want = floyd_warshall(adj).distances.dist.tobytes()
     _shrink_budget(monkeypatch, 24, 5)
-    monkeypatch.setattr(apsp, "_aligned_empty", recording)
-    assert floyd_warshall(adj).distances.dist.tobytes() == want
-    assert addresses == [(5 * 24, 0), (5 * 24, 0)]  # candidates, then the snapshots
+    for dtype, weights in ALIGNMENT_INPUTS:
+        adj = graph_to_matrix(random_graph(24, 0.3, weights, 5))
+        buffers = _recorded_fw_buffers(monkeypatch, adj)
+        assert buffers == [(5 * 24, np.dtype(dtype), 0)] * 2  # candidates, then the snapshots
 
 
 def test_floyd_warshall_peak_memory_in_eight_row_blocks(monkeypatch):
@@ -510,5 +513,150 @@ def test_floyd_warshall_peak_memory_in_eight_row_blocks(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    bound = 1.25 * n * n * 8 + 2 * np.getbufsize() * 8 + 16 * 1024
+    assert peak < bound, f"peak {peak / (n * n * 8):.3f} n^2 float64"
+
+
+def _complete_digraph(n, weight):
+    return Graph(n, [(i, j, weight) for i in range(n) for j in range(n) if i != j])
+
+
+@st.composite
+def dyadic_graphs(draw):
+    """Weights that are multiples of 2^-s (s = 0..3), or of 0.1 or 1/3, whose
+    largest magnitude puts FW's screen 2(n+1)·max|w| far under 2^(24-s),
+    just under it, or at or past it.  Negative weights make negative cycles;
+    with small weights they stay above -2^(24-s), with large ones they
+    can escape below it."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.integers(0, 3))
+    unit = draw(st.sampled_from([2.0**-s] * 4 + [0.1, 1 / 3]))
+    # top·2^-s puts the screen just under 2^(24-s), top+1 at or past it (at it when n+1 is a power of 2)
+    top = (2**24 - 1) // (2 * (n + 1)) + draw(st.sampled_from([0, 1]))
+    span = draw(st.sampled_from([20, top]))
+    low = draw(st.sampled_from([0, -1, -(span // 8), -span]))
+    # uniform multiples: dense negative ones often end between -2^(24-s) and a few times that
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [(rng.randrange(n), rng.randrange(n), rng.randint(low, span)) for _ in range(rng.randint(0, 2 * n * n))]
+    # one edge of the largest multiple sets the screen, one of the unit itself sets s
+    edges += [(0, n - 1, span), (n - 1, 0, 1)]
+    return Graph(n, [(u, v, m * unit) for u, v, m in edges])
+
+
+# negative cycles whose float32 sums round just past -2^(24-s): quarters (s = 2), then integers
+ROUNDING_JUST_PAST_THE_FLOOR = (
+    Graph(4, [(0, 1, -319335.0), (0, 2, -145562.75), (0, 3, -92571.75), (1, 0, -381972.25), (1, 1, 259930.25),
+              (1, 2, -381935.75), (2, 0, -308867.0), (2, 1, -47388.0), (3, 0, -165034.5), (3, 2, -242002.0)]),
+    Graph(5, [(0, 0, 1229940.0), (0, 1, -1383731.0), (0, 2, -942431.0), (0, 3, -1115247.0), (0, 4, -1030656.0),
+              (1, 0, -70838.0), (1, 3, -1160260.0), (2, 0, 293602.0), (2, 2, 990118.0), (2, 4, -620588.0),
+              (3, 0, 525788.0), (3, 4, -530303.0), (4, 0, -417349.0), (4, 3, -457251.0)]),
+)
+
+
+@given(dyadic_graphs(), st.integers(1, 12))
+@example(_complete_digraph(64, -1.0), 8)  # a negative cycle that escapes below -2^24 in the first block
+@example(ROUNDING_JUST_PAST_THE_FLOOR[0], 4)
+@example(ROUNDING_JUST_PAST_THE_FLOOR[1], 2)
+def test_floyd_warshall_float32_pass_has_the_float64_bits(graph, b):
+    """Same bytes, negative-cycle flag and saturation flag whether or not the
+    float32 pass may run; several blocks, and n = 1..3 where float32 row 0
+    overlaps float64 row 0 as the result is widened."""
+    adj = graph_to_matrix(graph)
+    with pytest.MonkeyPatch.context() as patch:
+        _shrink_budget(patch, graph.n, min(b, graph.n))
+        reset_saturation()
+        narrow = floyd_warshall(adj)
+        narrow_saturated = saturation_seen()
+        patch.setattr(apsp, "dyadic_scale", lambda values, bound: None)
+        reset_saturation()
+        wide = floyd_warshall(adj)
+    assert narrow.distances.dist.tobytes() == wide.distances.dist.tobytes()
+    assert narrow.distances.dist.integer == wide.distances.dist.integer
+    assert narrow.negative_cycle == wide.negative_cycle
+    assert narrow_saturated == saturation_seen()
+    reset_saturation()
+
+
+def _relaxed_dtypes(monkeypatch, adj):
+    """The dtype of each matrix floyd_warshall(adj) hands to _relax_all, in order."""
+    dtypes = []
+    relax_all = apsp._relax_all
+
+    def spying(d, *args):
+        dtypes.append(d.dtype.name)
+        return relax_all(d, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(apsp, "_relax_all", spying)
+        floyd_warshall(adj)
+    return dtypes
+
+
+def test_floyd_warshall_takes_float32_only_where_it_is_exact(monkeypatch):
+    n = 32
+    integers = _with_potentials(random_graph(n, 0.5, (1, 100), 7), random.Random(7), True)
+    screen = 2 * (n + 1)  # the float32 pass needs screen·max|w| < 2^(24-s)
+    quarters = Graph(n, [(u, v, w / 4) for u, v, w in integers.edges])
+    present = {(u, v) for u, v, _ in integers.edges}
+    absent = next((u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in present)
+    top = (2**24 - 1) // screen  # screen·top < 2^24 <= screen·(top + 1)
+
+    def with_edge(graph, w):
+        return Graph(n, list(graph.edges) + [(*absent, w)])
+
+    routes = {
+        "integers": (integers, ["float32"]),
+        "quarter-integers": (quarters, ["float32"]),
+        "eighths": (with_edge(integers, 0.125), ["float32"]),
+        "tenths": (Graph(n, [(u, v, w / 10) for u, v, w in integers.edges]), ["float64"]),
+        "thirds": (Graph(n, [(u, v, w / 3) for u, v, w in integers.edges]), ["float64"]),
+        "uniform reals": (random_graph(n, 0.5, (0.1, 10.7), 7), ["float64"]),
+        "integers just under the screen": (with_edge(integers, top), ["float32"]),
+        "integers past the screen": (with_edge(integers, top + 1), ["float64"]),
+        "quarters just under the screen for s = 2": (with_edge(quarters, top / 4), ["float32"]),
+        "quarters past the screen for s = 2": (with_edge(quarters, (top + 1) / 4), ["float64"]),
+        # escapes below -2^24 in float32, then below -2^53 unmasked: rerun masked
+        "escaping negative cycle": (_complete_digraph(64, -1.0), ["float32", "float64", "float64"]),
+    }
+    for name, (graph, want) in routes.items():
+        assert _relaxed_dtypes(monkeypatch, graph_to_matrix(graph)) == want, name
+    reset_saturation()
+
+
+def test_floyd_warshall_float32_peak_memory_in_eight_row_blocks(monkeypatch):
+    """The float32 pass relaxes the first half of the float64 result in place:
+    its peak is that result, one float32 strip of candidates and one of
+    snapshots, and numpy's two bufsize-element iterator buffers.  A separate
+    float32 copy of the input would add another half n x n float64 matrix."""
+    n = 256
+    b = n // 8
+    adj = graph_to_matrix(random_graph(n, 1.0, (1, 100), 7))
+    assert _relaxed_dtypes(monkeypatch, adj) == ["float32"]
+    _shrink_budget(monkeypatch, n, b)
+    tracemalloc.start()
+    try:
+        floyd_warshall(adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = n * n * 8 + 2 * b * n * 4 + 2 * np.getbufsize() * 4 + 16 * 1024
+    assert peak < bound, f"peak {peak / (n * n * 8):.3f} n^2 float64"
+
+
+def test_floyd_warshall_fallback_peak_memory_in_eight_row_blocks(monkeypatch):
+    """A float32 pass that escapes drops its buffer before the float64 passes
+    take theirs, so the run holds one n x n matrix at a time and meets the
+    float64 bound of test_floyd_warshall_peak_memory_in_eight_row_blocks."""
+    n = 256
+    adj = graph_to_matrix(_complete_digraph(n, -1.0))
+    _shrink_budget(monkeypatch, n, n // 8)
+    assert _relaxed_dtypes(monkeypatch, adj) == ["float32", "float64", "float64"]
+    tracemalloc.start()
+    try:
+        floyd_warshall(adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reset_saturation()
     bound = 1.25 * n * n * 8 + 2 * np.getbufsize() * 8 + 16 * 1024
     assert peak < bound, f"peak {peak / (n * n * 8):.3f} n^2 float64"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from btas.semiring import (
     SemiringKind,
     TropicalWeight,
     additive_identity,
+    dyadic_scale,
     format_weight,
     max_finite_magnitude,
     multiplicative_identity,
@@ -199,3 +201,40 @@ def test_max_finite_magnitude_peak_memory_is_a_fraction_of_its_input():
         tracemalloc.stop()
     assert got == want
     assert peak < 0.25 * n * n * 8, f"peak {peak / (n * n * 8):.3f} n^2 float64"
+
+
+def test_dyadic_scale_examples():
+    assert dyadic_scale(np.array([[0.0, 3.0], [-7.0, math.inf]]), 100.0) == 0
+    assert dyadic_scale(np.array([1.5, -2.0]), 100.0) == 1
+    assert dyadic_scale(np.array([0.25, 0.5, math.inf]), 100.0) == 2
+    assert dyadic_scale(np.array([-0.125]), 100.0) == 3
+    assert dyadic_scale(np.array([math.inf]), 0.0) == 0
+    for non_dyadic in (0.1, 1 / 3):
+        assert dyadic_scale(np.array([1.0, non_dyadic]), 100.0) is None
+    # s must also keep bound·2^s under 2^24
+    assert dyadic_scale(np.array([1.0]), 2.0**24 - 1) == 0
+    assert dyadic_scale(np.array([1.0]), 2.0**24) is None
+    assert dyadic_scale(np.array([0.25]), 2.0**22 - 0.25) == 2
+    assert dyadic_scale(np.array([0.25]), 2.0**22) is None
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=7),
+    st.data(),
+)
+def test_dyadic_scale_in_blocks_matches_exact_fractions(shape, block, data):
+    size = math.prod(shape)
+    scaled = st.builds(lambda k, s: k * 2.0**-s, st.integers(-(2**20), 2**20), st.integers(0, 4))
+    values = data.draw(st.lists(st.one_of(scaled, st.floats(-1e6, 1e6), st.just(math.inf)),
+                                min_size=size, max_size=size))
+    bound = data.draw(st.sampled_from([2.0 * max_finite_magnitude(np.array(values or [0.0])), 2.0**20, 2.0**24]))
+    arr = np.array(values, dtype=np.float64).reshape(shape)
+    # every finite double is k/2^s for one least s: the denominator of its exact fraction
+    s = max((Fraction(v).denominator.bit_length() - 1 for v in values if math.isfinite(v)), default=0)
+    want = s if Fraction(bound) * 2**s < 2**24 else None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semiring, "_MAGNITUDE_BLOCK", block)
+        assert dyadic_scale(arr, bound) == want
+    assert dyadic_scale(arr, bound) == want
+    assert np.array_equal(arr, np.array(values, dtype=np.float64).reshape(shape))  # its input is left alone
