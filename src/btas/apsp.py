@@ -21,8 +21,9 @@ screen 2(n+1)·max|w| bounds every sum from above; when it stays under
 2^(24-s), a sum can only round on the negative side.  Entries only
 decrease and rounding is monotone, so a rounded sum leaves an entry at or
 below -2^(24-s).  A pass that ends above it has the float64 pass's bits and
-is widened in place into the float64 result; any other pass is dropped and
-the float64 pass runs from the input.
+is widened in place into the float64 result; any other pass is dropped,
+within 16 rounds of the entry that crossed, and the float64 pass runs from
+the input.
 """
 
 from __future__ import annotations
@@ -113,13 +114,26 @@ def _closure_base(adj: TropicalMatrix) -> np.ndarray:
     return base
 
 
+#: A float32 pass reads its rows for the floor after every round k with
+#: k+1 a multiple of this: one read of the rows against about four per
+#: round, so a pass that will be dropped stops within this many rounds.
+_FLOOR_ROUNDS = 16
+
+
+class _BelowFloor(Exception):
+    """A float32 pass left an entry at or below its floor, where a sum may have rounded."""
+
+
 def _relax(rows: np.ndarray, pivots: np.ndarray, k0: int, cand: np.ndarray,
-           limit: "float | None", snapshot: "np.ndarray | None" = None) -> bool:
+           limit: "float | None", snapshot: "np.ndarray | None" = None,
+           floor: "float | None" = None) -> bool:
     """Run rows through rounds k0 .. k0+len(pivots)-1, in order; report saturation.
 
     pivots[j] must read as row k0+j at the start of round k0+j: either the
     rows themselves (the panel) or snapshots of them.  snapshot, when given,
     receives that row as its round starts, for the strips that follow.
+    With a floor, raise _BelowFloor once a check every _FLOOR_ROUNDS rounds
+    finds an entry at or below it.
     """
     c = cand[: rows.size].reshape(rows.shape)
     saturated = False
@@ -139,6 +153,8 @@ def _relax(rows: np.ndarray, pivots: np.ndarray, k0: int, cand: np.ndarray,
                 _saturate(c, limit, math.inf)
             saturated |= bool(low or high)
         np.minimum(rows, c, out=rows)
+        if floor is not None and (k + 1) % _FLOOR_ROUNDS == 0 and not rows.min() > floor:
+            raise _BelowFloor
     return saturated
 
 
@@ -148,9 +164,7 @@ def _relax_all(d: np.ndarray, b: int, limit: "float | None", floor: "float | Non
     The rounds are taken in blocks K = [k0, k0+b).  First the panel rows K
     run through the rounds in K, and row k is copied as round k starts.
     Then every other row, in strips of b, runs through the rounds in K
-    against those snapshots.  With a floor, the rounds stop after a block
-    that leaves an entry at or below it: entries only decrease, so the
-    caller, which reruns on such an entry, sees it at the end as well.
+    against those snapshots.  A floor is handed to each _relax.
     """
     n = len(d)
     cand = _aligned_empty(b * n, d.dtype)  # a misaligned cand made each k-round 20-30% slower
@@ -160,12 +174,10 @@ def _relax_all(d: np.ndarray, b: int, limit: "float | None", floor: "float | Non
         for k0 in range(0, n, b):
             panel = d[k0 : k0 + b]
             snapshots = None if snap is None else snap[: len(panel)]
-            saturated |= _relax(panel, panel, k0, cand, limit, snapshot=snapshots)
+            saturated |= _relax(panel, panel, k0, cand, limit, snapshot=snapshots, floor=floor)
             for r0 in range(0, n, b):
                 if r0 != k0:
-                    saturated |= _relax(d[r0 : r0 + b], snapshots, k0, cand, limit)
-            if floor is not None and k0 + b < n and not d.min() > floor:
-                break
+                    saturated |= _relax(d[r0 : r0 + b], snapshots, k0, cand, limit, floor=floor)
     return saturated
 
 
@@ -188,16 +200,20 @@ def _widen(narrow: np.ndarray, d: np.ndarray) -> None:
 
 def _relax_in_float32(adj: TropicalMatrix, b: int, s: int) -> "np.ndarray | None":
     """Floyd-Warshall on adj in float32, in the first half of the float64
-    result, which is then widened in place; None when the pass ends with an
-    entry at or below -2^(24-s), where a sum may have rounded (floyd_warshall)."""
+    result, which is then widened in place; None when the pass leaves an
+    entry at or below -2^(24-s), where a sum may have rounded (floyd_warshall).
+    The pass stops within _FLOOR_ROUNDS rounds of such an entry."""
     n = len(adj.data)
     d = np.empty((n, n))
     narrow = d.reshape(-1).view(np.float32)[: n * n].reshape(n, n)
     narrow[...] = adj.data  # exact: each weight is a multiple of 2^-s below 2^(24-s)
     np.fill_diagonal(narrow, np.minimum(np.diagonal(narrow), 0.0))
     floor = -SINGLE_EXACT_LIMIT * 2.0**-s
-    _relax_all(narrow, b, None, floor)
-    if not narrow.min() > floor:
+    try:
+        _relax_all(narrow, b, None, floor)
+    except _BelowFloor:
+        return None
+    if not narrow.min() > floor:  # rounds since the last check
         return None
     _widen(narrow, d)
     return d
@@ -238,19 +254,21 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
     float64 pass's bits, negative-cycle flag and (clear) saturation flag.
     Its float32 matrix is the first half of the float64 result's buffer and
     is widened in place (_widen), so the pass needs no second n x n array.
-    Any other pass is dropped and the float64 pass runs from the input.
+    Any other pass is dropped, within _FLOOR_ROUNDS rounds of the entry
+    that crossed, and the float64 pass runs from the input.  That pass
+    takes its screen from the closure base; the float32 screen reads adj,
+    whose diagonal magnitudes can only be larger, so it is never lower.
     """
     n = _require_square_minplus(adj)
     b = max(1, min(n, _TASK_BYTES // (16 * n)))
-    bound = 2.0 * (n + 1) * max_finite_magnitude(adj.data)
-    s = dyadic_scale(adj.data, bound)
+    s = dyadic_scale(adj.data, 2.0 * (n + 1) * max_finite_magnitude(adj.data))
     d = None if s is None else _relax_in_float32(adj, b, s)
     saturated = False
     if d is None:
         d = _closure_base(adj)  # the one copy of the input; relaxed in place
         threshold = _saturation_limit(math.inf, adj.integer)  # every bound reaches the threshold itself
-        limit = _saturation_limit(bound, adj.integer)
-        saturated = _relax_all(d, b, limit, -threshold)  # a masked pass never reaches -threshold
+        limit = _saturation_limit(2.0 * (n + 1) * max_finite_magnitude(d), adj.integer)
+        saturated = _relax_all(d, b, limit)
         if limit is None and not d.min() > -threshold:
             del d  # so the rerun holds one copy of the input, not two
             d = _closure_base(adj)

@@ -115,18 +115,25 @@ def exact_integers(values: np.ndarray) -> bool:
     )
 
 
-#: float32's 24-bit significand holds every multiple of 2^-s below 2^(24-s) in magnitude exactly.
+#: float32's 24-bit significand holds every multiple of 2^-s below 2^(24-s) in
+#: magnitude exactly, and as a normal number while s ≤ SINGLE_MAX_SCALE.
 SINGLE_EXACT_LIMIT = float(2**24)
+
+#: float32's least normal magnitude is 2^-126.  Below it the multiples of 2^-s
+#: are subnormal, which are slow on x86, and past s = 149 they are not
+#: float32 numbers at all (2^-200 becomes 0.0).
+SINGLE_MAX_SCALE = 126
 
 
 def dyadic_scale(values: np.ndarray, bound: float) -> "int | None":
-    """The least s ≥ 0 such that every finite entry is a multiple of 2^-s and
-    bound·2^s < 2^24, or None when there is none (for 0.1 or 1/3, say).
+    """The least s with 0 ≤ s ≤ SINGLE_MAX_SCALE such that every finite entry
+    is a multiple of 2^-s and bound·2^s < 2^24, or None when there is none
+    (for 0.1, 1/3 or 2^-200, say).
 
     Sums and differences of multiples of 2^-s are multiples of 2^-s, so a
     float32 computation whose every sum stays below bound in magnitude is
-    then exact.  Scaling by 2 is exact, so each block of magnitudes is
-    scaled in place until it is integral."""
+    then exact, in normal numbers.  Scaling by 2 is exact, so each block of
+    magnitudes is scaled in place until it is integral."""
     if not bound < SINGLE_EXACT_LIMIT:
         return None
     s = 0
@@ -134,7 +141,7 @@ def dyadic_scale(values: np.ndarray, bound: float) -> "int | None":
         np.ldexp(m, s, out=m)
         while not (np.trunc(m) == m).all():
             s += 1
-            if not math.ldexp(bound, s) < SINGLE_EXACT_LIMIT:
+            if s > SINGLE_MAX_SCALE or not math.ldexp(bound, s) < SINGLE_EXACT_LIMIT:
                 return None
             m *= 2.0
     return s

@@ -557,6 +557,10 @@ ROUNDING_JUST_PAST_THE_FLOOR = (
 @example(_complete_digraph(64, -1.0), 8)  # a negative cycle that escapes below -2^24 in the first block
 @example(ROUNDING_JUST_PAST_THE_FLOOR[0], 4)
 @example(ROUNDING_JUST_PAST_THE_FLOOR[1], 2)
+@example(Graph(2, [(0, 1, 2.0**-200)]), 1)  # 0.0 in float32, and so is the floor -2^(24-200)
+@example(Graph(2, [(0, 1, 2.0**-160)]), 1)  # 0.0 in float32, above a floor of -2^-136
+@example(Graph(3, [(0, 1, 2.0**-140), (1, 2, 3 * 2.0**-140), (2, 0, -(2.0**-139))]), 2)  # subnormal in float32
+@example(Graph(3, [(0, 1, 2.0**-126), (1, 2, -(2.0**-126))]), 3)  # the least normal float32
 def test_floyd_warshall_float32_pass_has_the_float64_bits(graph, b):
     """Same bytes, negative-cycle flag and saturation flag whether or not the
     float32 pass may run; several blocks, and n = 1..3 where float32 row 0
@@ -615,12 +619,29 @@ def test_floyd_warshall_takes_float32_only_where_it_is_exact(monkeypatch):
         "integers past the screen": (with_edge(integers, top + 1), ["float64"]),
         "quarters just under the screen for s = 2": (with_edge(quarters, top / 4), ["float32"]),
         "quarters past the screen for s = 2": (with_edge(quarters, (top + 1) / 4), ["float64"]),
+        # multiples of 2^-s are normal float32 numbers only while s <= 126
+        "multiples of 2^-126": (Graph(n, [(u, v, w * 2.0**-126) for u, v, w in integers.edges]), ["float32"]),
+        "multiples of 2^-127": (Graph(n, [(u, v, w * 2.0**-127) for u, v, w in integers.edges]), ["float64"]),
+        "multiples of 2^-200": (Graph(n, [(u, v, w * 2.0**-200) for u, v, w in integers.edges]), ["float64"]),
         # escapes below -2^24 in float32, then below -2^53 unmasked: rerun masked
         "escaping negative cycle": (_complete_digraph(64, -1.0), ["float32", "float64", "float64"]),
     }
     for name, (graph, want) in routes.items():
         assert _relaxed_dtypes(monkeypatch, graph_to_matrix(graph)) == want, name
     reset_saturation()
+
+
+@pytest.mark.parametrize("b", [64, 32, 8, 5])
+def test_float32_pass_stops_within_floor_rounds_of_its_floor(b):
+    """The all -1 graph doubles its lowest entry each round: -2^24 after
+    round 23.  A pass that reads its rows every _FLOOR_ROUNDS rounds stops
+    by round 31, at -2^32; one that ran its 64 rounds would end at -2^64."""
+    n = 64
+    d = np.full((n, n), -1.0, np.float32)
+    floor = -(2.0**24)
+    with pytest.raises(apsp._BelowFloor):
+        apsp._relax_all(d, b, None, floor)
+    assert floor * 2.0**apsp._FLOOR_ROUNDS <= d.min() <= floor
 
 
 def test_floyd_warshall_float32_peak_memory_in_eight_row_blocks(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from btas import semiring
 from btas.semiring import (
     INFINITY,
+    SINGLE_MAX_SCALE,
     ZERO,
     SemiringKind,
     TropicalWeight,
@@ -216,6 +217,10 @@ def test_dyadic_scale_examples():
     assert dyadic_scale(np.array([1.0]), 2.0**24) is None
     assert dyadic_scale(np.array([0.25]), 2.0**22 - 0.25) == 2
     assert dyadic_scale(np.array([0.25]), 2.0**22) is None
+    # and 2^-s a normal float32: 2^-127 would be subnormal there, 2^-200 zero
+    assert dyadic_scale(np.array([2.0**-126]), 4 * 2.0**-126) == SINGLE_MAX_SCALE == 126
+    assert dyadic_scale(np.array([2.0**-127]), 4 * 2.0**-127) is None
+    assert dyadic_scale(np.array([2.0**-200]), 6 * 2.0**-200) is None
 
 
 @given(
@@ -232,7 +237,7 @@ def test_dyadic_scale_in_blocks_matches_exact_fractions(shape, block, data):
     arr = np.array(values, dtype=np.float64).reshape(shape)
     # every finite double is k/2^s for one least s: the denominator of its exact fraction
     s = max((Fraction(v).denominator.bit_length() - 1 for v in values if math.isfinite(v)), default=0)
-    want = s if Fraction(bound) * 2**s < 2**24 else None
+    want = s if s <= SINGLE_MAX_SCALE and Fraction(bound) * 2**s < 2**24 else None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(semiring, "_MAGNITUDE_BLOCK", block)
         assert dyadic_scale(arr, bound) == want
