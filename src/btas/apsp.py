@@ -14,16 +14,14 @@ negative-cycle flag included, if it applies the rounds to each row in
 order 0..n-1 and hands each row a snapshot of row k taken at the start of
 round k.
 
-Where it is exact, Floyd-Warshall first runs the same schedule in float32,
-in half the bytes.  Weights that are multiples of 2^-s (integers,
-quarter-integers) stay exact in float32 below 2^(24-s).  The overflow
-screen 2(n+1)·max|w| bounds every sum from above; when it stays under
-2^(24-s), a sum can only round on the negative side.  Entries only
-decrease and rounding is monotone, so a rounded sum leaves an entry at or
-below -2^(24-s).  A pass that ends above it has the float64 pass's bits and
-is widened in place into the float64 result; any other pass is dropped,
-within 16 rounds of the entry that crossed, and the float64 pass runs from
-the input.
+Floyd-Warshall climbs a ladder of passes.  An unmasked pass in a dtype
+runs only while the overflow screen 2(n+1)·max|w| stays under that
+dtype's exact limit L (2^(24-s) in float32 for multiples of 2^-s; 2^53,
+or inf in float mode, in float64), and is dropped within 16 rounds once
+an entry is at or below -L.  The last rung is the float64 pass that masks
+every sum reaching the limit.  A pass that ends above -L has its bits:
+the screen bounds every sum from above, so a sum can reach L only on the
+negative side, and entries only decrease, so it leaves one at or below -L.
 """
 
 from __future__ import annotations
@@ -102,26 +100,26 @@ def _require_square_minplus(adj: TropicalMatrix) -> int:
     return adj.n_rows
 
 
-def _closure_base(adj: TropicalMatrix) -> np.ndarray:
-    """I ⊕ A, as a fresh writable array: the adjacency matrix with its diagonal ⊕-combined with 0.
+def _closure_base(adj: TropicalMatrix, out: np.ndarray) -> np.ndarray:
+    """I ⊕ A written into out, and out returned: the adjacency matrix with its diagonal ⊕-combined with 0.
 
     Powering this instead of raw A makes the k-th power mean "shortest
     distance using at most k edges", so the power sequence is monotone
     non-increasing and stabilizes at the closure.
     """
-    base = np.array(adj.data)
-    np.fill_diagonal(base, np.minimum(np.diagonal(base), 0.0))
-    return base
+    out[...] = adj.data
+    np.fill_diagonal(out, np.minimum(np.diagonal(out), 0.0))
+    return out
 
 
-#: A float32 pass reads its rows for the floor after every round k with
+#: An unmasked pass reads its rows for the floor after every round k with
 #: k+1 a multiple of this: one read of the rows against about four per
 #: round, so a pass that will be dropped stops within this many rounds.
 _FLOOR_ROUNDS = 16
 
 
 class _BelowFloor(Exception):
-    """A float32 pass left an entry at or below its floor, where a sum may have rounded."""
+    """An unmasked pass left an entry at or below its floor, where a sum may have reached its limit."""
 
 
 def _relax(rows: np.ndarray, pivots: np.ndarray, k0: int, cand: np.ndarray,
@@ -164,7 +162,8 @@ def _relax_all(d: np.ndarray, b: int, limit: "float | None", floor: "float | Non
     The rounds are taken in blocks K = [k0, k0+b).  First the panel rows K
     run through the rounds in K, and row k is copied as round k starts.
     Then every other row, in strips of b, runs through the rounds in K
-    against those snapshots.  A floor is handed to each _relax.
+    against those snapshots.  A floor is handed to each _relax, and read
+    once more after the last round.
     """
     n = len(d)
     cand = _aligned_empty(b * n, d.dtype)  # a misaligned cand made each k-round 20-30% slower
@@ -178,6 +177,8 @@ def _relax_all(d: np.ndarray, b: int, limit: "float | None", floor: "float | Non
             for r0 in range(0, n, b):
                 if r0 != k0:
                     saturated |= _relax(d[r0 : r0 + b], snapshots, k0, cand, limit, floor=floor)
+    if floor is not None and not d.min() > floor:  # the rounds since the last check
+        raise _BelowFloor
     return saturated
 
 
@@ -198,25 +199,20 @@ def _widen(narrow: np.ndarray, d: np.ndarray) -> None:
     d[0] = narrow[0].copy()
 
 
-def _relax_in_float32(adj: TropicalMatrix, b: int, s: int) -> "np.ndarray | None":
-    """Floyd-Warshall on adj in float32, in the first half of the float64
-    result, which is then widened in place; None when the pass leaves an
-    entry at or below -2^(24-s), where a sum may have rounded (floyd_warshall).
-    The pass stops within _FLOOR_ROUNDS rounds of such an entry."""
-    n = len(adj.data)
-    d = np.empty((n, n))
-    narrow = d.reshape(-1).view(np.float32)[: n * n].reshape(n, n)
-    narrow[...] = adj.data  # exact: each weight is a multiple of 2^-s below 2^(24-s)
-    np.fill_diagonal(narrow, np.minimum(np.diagonal(narrow), 0.0))
-    floor = -SINGLE_EXACT_LIMIT * 2.0**-s
-    try:
-        _relax_all(narrow, b, None, floor)
-    except _BelowFloor:
-        return None
-    if not narrow.min() > floor:  # rounds since the last check
-        return None
-    _widen(narrow, d)
-    return d
+def _relax_pass(adj: TropicalMatrix, d: np.ndarray, b: int, dtype: type,
+                limit: "float | None", floor: "float | None" = None) -> bool:
+    """One Floyd-Warshall pass on I ⊕ A into d, the float64 result; report saturation.
+
+    A float32 pass runs in the first half of d's buffer, which is then
+    widened in place, so no pass needs a second n x n array.  _relax_all
+    takes limit and floor, and may raise _BelowFloor.
+    """
+    n = len(d)
+    rows = d if dtype is np.float64 else d.reshape(-1).view(dtype)[: n * n].reshape(n, n)
+    saturated = _relax_all(_closure_base(adj, rows), b, limit, floor)
+    if rows is not d:
+        _widen(rows, d)
+    return saturated
 
 
 def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
@@ -234,45 +230,44 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
 
     Saturation: a finite+finite sum whose magnitude reaches the limit (2^53
     in integer mode, overflow in float mode) becomes Infinity, as in
-    matmul.  Masking is skipped while 2(n+1)·max|w| stays under the limit.
-    That screen bounds every sum from above even with negative cycles, as
-    an entry never exceeds its initial value, but a negative cycle can
-    drive entries down exponentially in n (Hougardy, IPL 110, 2010).
-    Entries only decrease, so a sum that went below -limit leaves an entry
-    there, or -inf or NaN; when the unmasked pass ends with one, the
-    rounds run again from the input with masking on.
+    matmul.  The screen 2(n+1)·max|w| bounds every sum from above even with
+    negative cycles, as an entry never exceeds its initial value, but a
+    negative cycle can drive entries down exponentially in n (Hougardy,
+    IPL 110, 2010).
 
-    Float32: when every finite weight is a multiple of 2^-s and the screen
-    stays under 2^(24-s) (dyadic_scale; s = 0 for integers, 2 for
-    quarter-integers), the rounds first run in float32, in half the bytes.
-    Every entry and sum is then a multiple of 2^-s, exact in float32 while
-    its magnitude stays under 2^(24-s).  The screen bounds every sum from
-    above, so a sum can only round on the negative side, at or below
-    -2^(24-s); rounding is monotone and entries only decrease, so the first
-    such sum leaves an entry there (or -inf, or NaN) to the end.  A pass
-    that ends above -2^(24-s) computed every sum exactly, so it has the
-    float64 pass's bits, negative-cycle flag and (clear) saturation flag.
-    Its float32 matrix is the first half of the float64 result's buffer and
-    is widened in place (_widen), so the pass needs no second n x n array.
-    Any other pass is dropped, within _FLOOR_ROUNDS rounds of the entry
-    that crossed, and the float64 pass runs from the input.  That pass
-    takes its screen from the closure base; the float32 screen reads adj,
-    whose diagonal magnitudes can only be larger, so it is never lower.
+    Passes (module docstring): the rungs are float32 with L = 2^(24-s)
+    when every finite weight is a multiple of 2^-s (dyadic_scale; s = 0
+    for integers, 2 for quarter-integers), float64 with L the limit, and
+    the masking float64 pass; a dropped pass stops within _FLOOR_ROUNDS
+    rounds.  In float32 every entry and sum is a multiple of 2^-s, exact
+    while its magnitude stays under L.  Rounding is monotone, so a sum whose
+    magnitude reaches L leaves an entry at or below -L (or -inf, or NaN),
+    and a pass that ends above -L met no sum the masking pass replaces:
+    it has that pass's bits and flags.  Every rung runs from the input in
+    the one n x n result; a float32 pass uses the first half of its buffer
+    and is widened in place (_widen).  The screen reads adj, whose diagonal
+    is never below the closure base's in magnitude; where only the
+    diagonal trips it, the masking pass runs and masks nothing.
     """
     n = _require_square_minplus(adj)
     b = max(1, min(n, _TASK_BYTES // (16 * n)))
-    s = dyadic_scale(adj.data, 2.0 * (n + 1) * max_finite_magnitude(adj.data))
-    d = None if s is None else _relax_in_float32(adj, b, s)
-    saturated = False
-    if d is None:
-        d = _closure_base(adj)  # the one copy of the input; relaxed in place
-        threshold = _saturation_limit(math.inf, adj.integer)  # every bound reaches the threshold itself
-        limit = _saturation_limit(2.0 * (n + 1) * max_finite_magnitude(d), adj.integer)
-        saturated = _relax_all(d, b, limit)
-        if limit is None and not d.min() > -threshold:
-            del d  # so the rerun holds one copy of the input, not two
-            d = _closure_base(adj)
-            saturated = _relax_all(d, b, threshold)
+    screen = 2.0 * (n + 1) * max_finite_magnitude(adj.data)
+    s = dyadic_scale(adj.data, screen)
+    limit = _saturation_limit(math.inf, adj.integer)  # every bound reaches the limit itself
+    rungs = []  # the unmasked passes, (dtype, L), narrowest first
+    if s is not None:
+        rungs.append((np.float32, SINGLE_EXACT_LIMIT * 2.0**-s))
+    if screen < limit:
+        rungs.append((np.float64, limit))
+    d = np.empty((n, n))
+    for dtype, exact in rungs:
+        try:
+            saturated = _relax_pass(adj, d, b, dtype, None, -exact)
+            break
+        except _BelowFloor:
+            pass
+    else:
+        saturated = _relax_pass(adj, d, b, np.float64, limit)
     if saturated:
         _note_saturation()
 
@@ -300,7 +295,7 @@ def apsp_by_squaring(adj: TropicalMatrix, tiles: "TileSpec | None" = None) -> Ap
     is still moving or the diagonal went negative.
     """
     n = _require_square_minplus(adj)
-    base = TropicalMatrix._wrap(adj.kind, _closure_base(adj), adj.integer)
+    base = TropicalMatrix._wrap(adj.kind, _closure_base(adj, np.empty(adj.shape)), adj.integer)
 
     multiplications = 0
     fixpoint = False

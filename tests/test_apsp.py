@@ -625,6 +625,8 @@ def test_floyd_warshall_takes_float32_only_where_it_is_exact(monkeypatch):
         "multiples of 2^-200": (Graph(n, [(u, v, w * 2.0**-200) for u, v, w in integers.edges]), ["float64"]),
         # escapes below -2^24 in float32, then below -2^53 unmasked: rerun masked
         "escaping negative cycle": (_complete_digraph(64, -1.0), ["float32", "float64", "float64"]),
+        # overflows to -inf unmasked in float mode: rerun masked
+        "escaping float negative cycle": (_complete_digraph(64, -1e300), ["float64", "float64"]),
     }
     for name, (graph, want) in routes.items():
         assert _relaxed_dtypes(monkeypatch, graph_to_matrix(graph)) == want, name
@@ -642,6 +644,38 @@ def test_float32_pass_stops_within_floor_rounds_of_its_floor(b):
     with pytest.raises(apsp._BelowFloor):
         apsp._relax_all(d, b, None, floor)
     assert floor * 2.0**apsp._FLOOR_ROUNDS <= d.min() <= floor
+
+
+def _rounds_per_pass(monkeypatch, adj):
+    """{(dtype, masks): rounds} over the passes floyd_warshall(adj) runs, in
+    order, where rounds is one past the last round any strip of the pass began."""
+    rounds = {}
+    relax = apsp._relax
+
+    def counting(rows, pivots, k0, cand, limit, **kwargs):
+        key = (rows.dtype.name, limit is not None)
+
+        def counted():
+            for j, pivot in enumerate(pivots):
+                rounds[key] = max(rounds.get(key, 0), k0 + j + 1)
+                yield pivot
+
+        return relax(rows, counted(), k0, cand, limit, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(apsp, "_relax", counting)
+        floyd_warshall(adj)
+    return rounds
+
+
+def test_floyd_warshall_drops_an_escaping_float64_pass_within_floor_rounds(monkeypatch):
+    """Every edge -1e300: the doubling entries overflow to -inf before round
+    32, so the unmasked float64 pass stops at the floor check after round 32
+    instead of running all 64; the masking pass then runs all 64."""
+    adj = graph_to_matrix(_complete_digraph(64, -1e300))
+    assert not adj.integer
+    assert _rounds_per_pass(monkeypatch, adj) == {("float64", False): 32, ("float64", True): 64}
+    reset_saturation()
 
 
 def test_floyd_warshall_float32_peak_memory_in_eight_row_blocks(monkeypatch):

@@ -4,13 +4,14 @@
 
 For every perfbench run (workload and trace mode) and every metric present
 in both files, and for every `btas bench` cell (algorithm, n, workers) in
-both, it prints the old value, the new value and the ratio new/old, and
-marks with `*` a ratio that is off 1 by more than 10 %.  Where either file
-holds repeated runs of a perfbench run, it also prints the old and the new
-[min, max] over the repeats (`-` for a file with one run), so that a ratio
-can be set against the spread between runs.  It only reports and always
-exits 0: a mark is a lead to look into, not a verdict, since timings on a
-shared 2-vCPU VM drift by up to 11 % between runs.
+both, of each sweep both hold (`bench`, and `bench_fw_float64` from
+BENCH_008.json on), it prints the old value, the new value and the ratio
+new/old, and marks with `*` a ratio that is off 1 by more than 10 %.  Where
+either file holds repeated runs of a perfbench run, it also prints the old
+and the new [min, max] over the repeats (`-` for a file with one run), so
+that a ratio can be set against the spread between runs.  It only reports
+and always exits 0: a mark is a lead to look into, not a verdict, since
+timings on a shared 2-vCPU VM drift by up to 11 % between runs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from pathlib import Path
 
 #: A ratio further than this from 1 is marked.
 MARK_BEYOND = 0.10
+
+#: The `btas bench` sweeps a snapshot may hold, by key (tools/bench_snapshot.py).
+SWEEPS = ("bench", "bench_fw_float64")
 
 
 def _line(label: str, old: float, new: float) -> str:
@@ -52,14 +56,18 @@ def compare(old: dict, new: dict) -> "list[str]":
                 if "repeats" in old_run or "repeats" in new_run:
                     line = f"{line:103}  {_spread(old_run, metric)} -> {_spread(new_run, metric)}"
                 lines.append(line)
-    header = old["bench"]["header"]
-    key = [header.index(name) for name in ("algorithm", "n", "worker_count")]
-    median = header.index("median_seconds")
-    new_cells = {tuple(row[i] for i in key): row[median] for row in new["bench"]["rows"]}
-    for row in old["bench"]["rows"]:
-        algorithm, n, workers = cell = tuple(row[i] for i in key)
-        if cell in new_cells:
-            lines.append(_line(f"bench {algorithm} n={n} workers={workers}  median_seconds", row[median], new_cells[cell]))
+    for sweep in SWEEPS:
+        if sweep not in old or sweep not in new:
+            continue
+        header = old[sweep]["header"]
+        key = [header.index(name) for name in ("algorithm", "n", "worker_count")]
+        median = header.index("median_seconds")
+        new_cells = {tuple(row[i] for i in key): row[median] for row in new[sweep]["rows"]}
+        for row in old[sweep]["rows"]:
+            algorithm, n, workers = cell = tuple(row[i] for i in key)
+            if cell in new_cells:
+                label = f"{sweep} {algorithm} n={n} workers={workers}  median_seconds"
+                lines.append(_line(label, row[median], new_cells[cell]))
     return lines
 
 

@@ -2,18 +2,21 @@
 
     python3 tools/bench_snapshot.py --out BENCH_002.json [--checkout DIR]
 
-For each perfbench workload it runs `perfbench/run.py --trace 0` three
-times and `--trace 1` once in the checkout, with seed 1 and the
-`run_seconds` of the checkout's BENCHMARK.json, and keeps the final JSON
-line of each (with the facts line printed before it).  Of the three
-`--trace 0` runs, the one with the median `op_p50_s` is stored as the
-run's `result`, as a snapshot with one run per mode stores its only run,
-and all three results are kept under `repeats`, so that a comparison can
-tell a change from the spread between runs.  Then it runs
-`btas bench --sizes 128,256,512,1024 --algorithm all --workers 1,2` and keeps
-its CSV as rows.  Runs are sequential; nothing else should load the machine
-meanwhile.  The checkout defaults to the one holding this script; point it
-at another checkout to measure that code with the same procedure.
+For each perfbench workload it runs `perfbench/run.py --trace 0` three times
+and `--trace 1` once in the checkout, with seed 1 and the `run_seconds` of
+the checkout's BENCHMARK.json, and keeps the final JSON line of each (with
+the facts line printed before it).  Of the three `--trace 0` runs, the one
+with the median `op_p50_s` is stored as the run's `result`, as a snapshot
+with one run per mode stores its only run, and all three results are kept
+under `repeats`, so that a comparison can tell a change from the spread
+between runs.  Then it runs `btas bench --sizes 128,256,512,1024 --algorithm
+all --workers 1,2` and keeps its CSV as rows under `bench`.  Those weights
+are integers, which take Floyd-Warshall's float32 pass, so it also runs
+`btas bench --algorithm fw --sizes 512,1024 --workers 1 --weights 0.1:10.7`,
+whose weights take the float64 pass, and keeps that CSV under
+`bench_fw_float64`.  Runs are sequential; nothing else should load the
+machine meanwhile.  The checkout defaults to the one holding this script;
+point it at another checkout to measure that code with the same procedure.
 """
 
 from __future__ import annotations
@@ -30,7 +33,12 @@ WORKLOADS = ("solve-dense", "solve-fw-sparse", "verify-mixed", "kernel-mix")
 SEED = 1
 #: `--trace 0` runs per workload; the one with the median op_p50_s is the `result`.
 REPEATS = 3
-BENCH_ARGS = ["bench", "--sizes", "128,256,512,1024", "--algorithm", "all", "--workers", "1,2"]
+#: Each `btas bench` sweep, by the snapshot key its CSV is kept under.
+SWEEPS = {
+    "bench": ["bench", "--sizes", "128,256,512,1024", "--algorithm", "all", "--workers", "1,2"],
+    "bench_fw_float64": ["bench", "--sizes", "512,1024", "--algorithm", "fw", "--workers", "1",
+                         "--weights", "0.1:10.7"],
+}
 
 
 def _run(checkout: Path, argv: "list[str]") -> str:
@@ -70,12 +78,13 @@ def main() -> int:
                 run = {**by_p50[len(by_p50) // 2], "repeats": [r["result"] for r in repeats]}
             runs[f"{workload} --trace {trace}"] = run
             print(f"{workload} --trace {trace}: done", file=sys.stderr)
-    header, *rows = csv.reader(_run(args.checkout, ["-m", "btas", *BENCH_ARGS]).splitlines())
     snapshot = {
         "facts": runs[f"{WORKLOADS[0]} --trace 0"]["facts"],
         "perfbench": {"seed": SEED, "seconds": seconds, "runs": runs},
-        "bench": {"argv": ["btas", *BENCH_ARGS], "header": header, "rows": [list(map(_number, r)) for r in rows]},
     }
+    for key, bench_args in SWEEPS.items():
+        header, *rows = csv.reader(_run(args.checkout, ["-m", "btas", *bench_args]).splitlines())
+        snapshot[key] = {"argv": ["btas", *bench_args], "header": header, "rows": [list(map(_number, r)) for r in rows]}
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
     return 0
 
