@@ -42,7 +42,6 @@ from .matrix import (
     _reaches,
     _saturate,
     _saturation_limit,
-    identity_matrix,
     matmul,
 )
 from .semiring import SINGLE_EXACT_LIMIT, SemiringKind, _note_saturation, dyadic_scale, max_finite_magnitude
@@ -299,19 +298,16 @@ def apsp_by_squaring(adj: TropicalMatrix, tiles: "TileSpec | None" = None) -> Ap
 
     multiplications = 0
     fixpoint = False
-    if n == 1:
-        d = identity_matrix(adj.kind, 1)
-    else:
-        d = base
-        power = 1
-        while power < n - 1:
-            squared = matmul(d, d, tiles=tiles)
-            multiplications += 1
-            if squared == d:
-                fixpoint = True
-                break
-            d = squared
-            power *= 2
+    d = base
+    power = 1
+    while power < n - 1:
+        squared = matmul(d, d, tiles=tiles)
+        multiplications += 1
+        if squared == d:
+            fixpoint = True
+            break
+        d = squared
+        power *= 2
 
     if fixpoint:
         negative_cycle = bool((np.diagonal(d.data) < 0.0).any())

@@ -6,6 +6,14 @@ symbolic Infinity becomes +inf under min-plus and -inf under max-plus, so
 public boundary (constructors, accessors, text formats) speaks only the
 symbolic form where Infinity is ``math.inf`` for both kinds.
 
+TropicalMatrix and TropicalVector share one immutable core and differ only
+in rank and shape accessors.  The public constructor checks and orients
+its input and detects integer mode; internal code that already holds an
+oriented, validated array adopts it with ``_wrap`` without copying or
+checking.  Either way the array is made read-only and the fields can be
+neither reassigned nor deleted.  Two values are equal when their type,
+kind, shape and bytes are.
+
 Determinism contract: entries carry no NaN and no -0.0, so min and max of
 them are exactly associative and commutative.  Any grouping of the k terms
 of a product therefore gives the same bits, and matmul is bit-identical for
@@ -27,6 +35,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Self
 
 import numpy as np
 
@@ -133,40 +142,64 @@ def _to_symbolic(oriented):
     return np.where(np.isinf(oriented), math.inf, oriented)
 
 
-def _freeze(obj, kind: SemiringKind, oriented: np.ndarray, integer: bool):
-    """Set the fields of a new TropicalMatrix or TropicalVector; return it."""
-    oriented.flags.writeable = False
-    object.__setattr__(obj, "kind", kind)
-    object.__setattr__(obj, "data", oriented)
-    object.__setattr__(obj, "integer", integer)
-    return obj
+class _TropicalArray:
+    """The immutable core of TropicalMatrix and TropicalVector: an oriented
+    float64 array of the class's rank, its SemiringKind and its integer flag.
 
-
-class TropicalMatrix:
-    """Immutable dense matrix over one tropical semiring.
-
-    ``rows`` may be nested lists, an ndarray, or contain TropicalWeight
+    ``values`` may be nested lists, an ndarray, or contain TropicalWeight
     objects; ``math.inf`` means Infinity for both kinds.  integer=None
     auto-detects exact-integer mode, True demands it, False disables it.
     """
 
     __slots__ = ("kind", "data", "integer")
+    _rank: int
 
-    def __init__(self, kind: SemiringKind, rows: object, integer: "bool | None" = None):
-        arr = _orient(kind, rows)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"matrix needs 2 dimensions, got {arr.ndim}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionMismatch(f"matrix dimensions must be positive, got {arr.shape}")
-        _freeze(self, kind, arr, _detect_integer(arr, integer))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TropicalMatrix is immutable")
+    def __new__(cls, kind: SemiringKind, values: object, integer: "bool | None" = None) -> Self:
+        arr = _orient(kind, values)
+        if arr.ndim != cls._rank:
+            raise DimensionMismatch(f"{cls.__name__} needs {cls._rank} dimension(s), got {arr.ndim}")
+        if 0 in arr.shape:
+            raise DimensionMismatch(f"{cls.__name__} dimensions must be positive, got {arr.shape}")
+        return cls._wrap(kind, arr, _detect_integer(arr, integer))
 
     @classmethod
-    def _wrap(cls, kind: SemiringKind, oriented: np.ndarray, integer: bool) -> "TropicalMatrix":
+    def _wrap(cls, kind: SemiringKind, oriented: np.ndarray, integer: bool) -> Self:
         """Adopt an already-oriented, already-validated array (internal)."""
-        return _freeze(object.__new__(cls), kind, oriented, integer)
+        oriented.flags.writeable = False
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "kind", kind)
+        object.__setattr__(obj, "data", oriented)
+        object.__setattr__(obj, "integer", integer)
+        return obj
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def weight_at(self, *index: int) -> TropicalWeight:
+        return TropicalWeight(float(_to_symbolic(self.data[index])))
+
+    def tobytes(self) -> bytes:
+        return self.data.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.kind is other.kind
+            and self.data.shape == other.data.shape
+            and self.data.tobytes() == other.data.tobytes()
+        )
+
+
+class TropicalMatrix(_TropicalArray):
+    """Immutable dense matrix over one tropical semiring: TropicalMatrix(kind,
+    values, integer=None), values being rows of equal length."""
+
+    __slots__ = ()
+    _rank = 2
 
     @classmethod
     def filled(
@@ -191,24 +224,9 @@ class TropicalMatrix:
     def shape(self) -> "tuple[int, int]":
         return self.data.shape
 
-    def weight_at(self, i: int, j: int) -> TropicalWeight:
-        return TropicalWeight(float(_to_symbolic(self.data[i, j])))
-
     def to_lists(self) -> "list[list[float]]":
         """Symbolic-form rows: plain floats with math.inf for Infinity."""
         return _to_symbolic(self.data).tolist()
-
-    def tobytes(self) -> bytes:
-        return self.data.tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TropicalMatrix):
-            return NotImplemented
-        return (
-            self.kind is other.kind
-            and self.shape == other.shape
-            and self.data.tobytes() == other.data.tobytes()
-        )
 
     def __matmul__(self, other: "TropicalMatrix") -> "TropicalMatrix":
         if not isinstance(other, TropicalMatrix):
@@ -222,39 +240,18 @@ class TropicalMatrix:
         )
 
 
-class TropicalVector:
-    """Immutable dense vector; same conventions as TropicalMatrix."""
+class TropicalVector(_TropicalArray):
+    """Immutable dense vector over one tropical semiring: TropicalVector(kind,
+    values, integer=None)."""
 
-    __slots__ = ("kind", "data", "integer")
-
-    def __init__(self, kind: SemiringKind, values: object, integer: "bool | None" = None):
-        arr = _orient(kind, values)
-        if arr.ndim != 1:
-            raise DimensionMismatch(f"vector needs 1 dimension, got {arr.ndim}")
-        if arr.shape[0] < 1:
-            raise DimensionMismatch("vector length must be positive")
-        _freeze(self, kind, arr, _detect_integer(arr, integer))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TropicalVector is immutable")
+    __slots__ = ()
+    _rank = 1
 
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    def weight_at(self, i: int) -> TropicalWeight:
-        return TropicalWeight(float(_to_symbolic(self.data[i])))
-
     def to_list(self) -> "list[float]":
         return _to_symbolic(self.data).tolist()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TropicalVector):
-            return NotImplemented
-        return (
-            self.kind is other.kind
-            and len(self) == len(other)
-            and self.data.tobytes() == other.data.tobytes()
-        )
 
     def __repr__(self) -> str:
         return f"TropicalVector({self.kind.value}, len={len(self)})"
@@ -462,7 +459,7 @@ def matmul(
 def matvec(a: TropicalMatrix, v: TropicalVector) -> TropicalVector:
     """out(i) = ⊕ over k of a(i,k) ⊗ v(k): matmul with v as one column."""
     column = matmul(a, TropicalMatrix._wrap(v.kind, v.data[:, None], v.integer))
-    return _freeze(object.__new__(TropicalVector), a.kind, column.data[:, 0], column.integer)
+    return TropicalVector._wrap(a.kind, column.data[:, 0], column.integer)
 
 
 def matrix_power(a: TropicalMatrix, p: int, tiles: "TileSpec | None" = None) -> TropicalMatrix:

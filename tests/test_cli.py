@@ -43,6 +43,16 @@ def test_solve_outputs_match_across_algorithms_and_workers(graph_file, tmp_path)
     assert outputs[0] == SOLVED.encode()
 
 
+def test_solve_routes_agree_on_one_fractional_vertex(tmp_path, capsys):
+    path = tmp_path / "one.mat"
+    path.write_text("1 1 minplus\n0.5\n", encoding="utf-8")
+    outputs = []
+    for algorithm in ("fw", "square"):
+        assert entrypoint(["solve", str(path), "--algorithm", algorithm]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == ["1 1 minplus\n0.0\n"] * 2
+
+
 def _potential_shifted(graph, seed):
     """graph's edges shifted by vertex potentials: negative weights, no negative cycle."""
     rng = random.Random(seed)

@@ -265,6 +265,47 @@ def test_matrices_are_immutable():
         v.kind = MAX
 
 
+@pytest.mark.parametrize(
+    "cls, values, infinite_at, wrong_rank, empty, twin_cls, twin_shape",
+    [
+        (TropicalMatrix, [[1, INF, 3]], (0, 1), [1, 2], [[]], TropicalVector, (3,)),
+        (TropicalVector, [1, INF, 3], (1,), [[1, 2]], [], TropicalMatrix, (1, 3)),
+    ],
+    ids=["matrix", "vector"],
+)
+def test_shared_dense_core(cls, values, infinite_at, wrong_rank, empty, twin_cls, twin_shape):
+    for bad in (wrong_rank, empty, 5.0):
+        with pytest.raises(DimensionMismatch):
+            cls(MIN, bad)
+
+    a = cls(MAX, values)
+    for name in ("kind", "data", "integer", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.kind is MAX
+    with pytest.raises(TypeError):
+        hash(a)
+
+    wrapped = cls._wrap(MIN, np.zeros(np.shape(values)), True)
+    assert not wrapped.data.flags.writeable
+    with pytest.raises(ValueError):
+        wrapped.data[...] = 1.0
+
+    assert a == cls(MAX, values)
+    assert a != cls(MIN, values)
+    assert a != cls(MAX, np.where(np.isinf(values), 7, values))
+    twin = twin_cls._wrap(MAX, a.data.reshape(twin_shape), a.integer)
+    assert twin.tobytes() == a.tobytes()
+    assert a != twin and twin != a
+
+    assert a.data[infinite_at] == -INF
+    assert a.weight_at(*infinite_at).is_infinite
+    assert a.weight_at(*infinite_at).value == INF
+    assert repr(a).startswith(f"{cls.__name__}(maxplus, ")
+
+
 def test_negative_zero_is_normalized():
     a = TropicalMatrix(MIN, [[-0.0]])
     b = TropicalMatrix(MIN, [[0.0]])

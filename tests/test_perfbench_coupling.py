@@ -4,7 +4,9 @@ If the CLI stopped calling one of those names, the matching per-layer
 metric would silently read 0; this test makes that a failure instead.
 """
 
+import functools
 import importlib.util
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -13,7 +15,8 @@ import btas
 import btas.cli
 from btas.graph_io import edge_list_to_text, graph_to_matrix, matrix_to_text, random_graph
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _wrapped_paths(monkeypatch) -> "list[str]":
@@ -55,3 +58,20 @@ def test_cli_calls_every_name_perfbench_wraps(tmp_path, monkeypatch, capsys):
 
     assert calls["apsp.matmul"] > 0  # squaring multiplies through btas.apsp
     assert [path for path in wrapped if calls[path] == 0] == []
+
+
+def test_every_btas_name_perfbench_uses_resolves():
+    """perfbench calls btas names, private ones included, that tier-1 never runs."""
+    names = {
+        match
+        for source in PERFBENCH.glob("*.py")
+        for match in re.findall(r"(?<![\w/.])btas(?:\.[A-Za-z_]\w*)+", source.read_text(encoding="utf-8"))
+    }
+    assert names
+    missing = []
+    for name in sorted(names):
+        try:
+            functools.reduce(getattr, name.split(".")[1:], btas)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
