@@ -18,8 +18,13 @@ Determinism contract: entries carry no NaN and no -0.0, so min and max of
 them are exactly associative and commutative.  Any grouping of the k terms
 of a product therefore gives the same bits, and matmul is bit-identical for
 every tile shape, k-block size and worker count.  By default a product runs
-as row strips from tile_plan, with about four strips per available CPU, or
-as one tile when it is too small for the thread pool.
+as row strips from tile_plan, with about four strips per available CPU, on
+a pool whose threads are pinned one per CPU; below _PARALLEL_MIN_OPS
+semiring operations it runs as one tile on the calling thread.  Each task
+sums a block of k laid out k-outermost, (k, rows, cols), and folds it over
+k with one reduce whose inner loops span the whole tile.  Integer-mode
+operands with max|x| + max|y| < 2^24 run those blocks in float32: every sum
+is an integer float32 holds exactly, so widening gives the float64 bits.
 
 Saturation follows one rule, stated in matmul: a finite+finite sum whose
 magnitude reaches the limit is ε.  A product that can reach the limit at
@@ -30,6 +35,7 @@ reach it, and the side that can only lose once per output tile.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -41,6 +47,7 @@ import numpy as np
 
 from .semiring import (
     INT_EXACT_LIMIT,
+    SINGLE_EXACT_LIMIT,
     SemiringKind,
     TropicalWeight,
     _note_saturation,
@@ -178,6 +185,10 @@ class _TropicalArray:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        """copy, deepcopy and pickle rebuild through _wrap, past the guard."""
+        return (type(self)._wrap, (self.kind, self.data, self.integer))
+
     def weight_at(self, *index: int) -> TropicalWeight:
         return TropicalWeight(float(_to_symbolic(self.data[index])))
 
@@ -280,24 +291,46 @@ def ew_add(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix._wrap(a.kind, out, a.integer and b.integer)
 
 
-# Below this many fused multiply-add slots, tile fan-out costs more than it
-# saves; run tiles inline on the calling thread instead.
-_PARALLEL_MIN_OPS = 1 << 16
+# Below this many semiring operations, tile fan-out costs more than it saves;
+# run tiles inline on the calling thread instead.  2^20 is the measured
+# break-even of the 2-worker plan on a 2-vCPU VM with pinned pool threads:
+# pool/inline time read 1.3-1.7 at n=64, 0.9-1.2 at n=80-112 and 0.6-0.8
+# from n=128 on.
+_PARALLEL_MIN_OPS = 1 << 20
 
 # Bytes of the k-block temporary one task reuses; bounds a task's memory
-# unless a single k slice of its tile is larger.
+# unless a single k slice of one row is larger.
 _TASK_BYTES = 1 << 20
 
 _pool: "ThreadPoolExecutor | None" = None
 _pool_lock = threading.Lock()
 
 
+def _pin_to_a_cpu(started: "itertools.count") -> None:
+    """Keep each pool thread on its own CPU of the set it started with.
+
+    Left to the scheduler, two threads woken for a few milliseconds mostly
+    share one vCPU, so products that short gained nothing from the pool.
+    """
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[next(started) % len(cpus)]})
+    except (AttributeError, OSError):  # no affinity calls here, or refused: run unpinned
+        pass
+
+
 def _shared_pool() -> ThreadPoolExecutor:
-    """One process-wide pool, one thread per available CPU, made on first use."""
+    """One process-wide pool, one thread per available CPU, each pinned to
+    its own CPU where the platform allows; made on first use."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=available_parallelism(), thread_name_prefix="btas-tile")
+            _pool = ThreadPoolExecutor(
+                max_workers=available_parallelism(),
+                thread_name_prefix="btas-tile",
+                initializer=_pin_to_a_cpu,
+                initargs=(itertools.count(),),
+            )
         return _pool
 
 
@@ -357,7 +390,20 @@ def matmul(
     out(i,j) = ⊕ over k of x(i,k) ⊗ y(k,j), then ⊕ accumulate_into(i,j)
     when given.  accumulate_into is read, never written.  tiles defaults
     to tile_plan over the available CPUs, or to one tile when the product
-    is too small for the pool.
+    has fewer than _PARALLEL_MIN_OPS semiring operations; such a product
+    runs on the calling thread whatever its tiles.
+
+    Each task fills its tiles block by block: np.add writes x(i,k) + y(k,j)
+    for kb values of k into a (kb, rows, cols) buffer of at most _TASK_BYTES,
+    and combine.reduce over axis 0 folds it into the tile.  A block of one k
+    is combined with the tile directly, and a tile whose one-k slice alone
+    passes _TASK_BYTES is filled in groups of rows whose slice fits.  When x
+    and y are both in integer mode and max|x| + max|y| < SINGLE_EXACT_LIMIT
+    (2^24), the blocks and the running tile are float32, kb is counted in
+    float32 items, and the tile is widened before accumulate_into is
+    combined in float64.  Every sum is then an integer under 2^24, which
+    float32 holds exactly, so the bits are those of the float64 route, and
+    nothing can saturate.
 
     Saturation: a finite+finite sum whose magnitude reaches the limit (2^53
     in integer mode, overflow in float mode) is Infinity.  When max|x| +
@@ -393,14 +439,23 @@ def matmul(
     out = np.empty((nr, nc), dtype=np.float64)
     combine = _combine_ufunc(x.kind)
     eps = _oriented_infinity(x.kind)
-    rows, cols = min(spec.tile_rows, nr), min(spec.tile_cols, nc)
-    kb = min(nk, max(1, _TASK_BYTES // (8 * rows * cols)))
+
+    # |a + b| ≤ max|x| + max|y| entrywise
+    bound = max_finite_magnitude(x.data) + max_finite_magnitude(y.data)
+    # integer sums under 2^24 are exact in float32, and so are min and max
+    single = x.integer and y.integer and bound < SINGLE_EXACT_LIMIT
+    dtype = np.float32 if single else np.float64
+    xd, yd = x.data.astype(dtype, copy=False), y.data.astype(dtype, copy=False)
+    itemsize = np.dtype(dtype).itemsize
+    cols = min(spec.tile_cols, nc)
+    # a tile whose one-k slice passes the budget is walked in row groups that fit it
+    rows = min(spec.tile_rows, nr, max(1, _TASK_BYTES // (itemsize * cols)))
+    kb = min(nk, max(1, _TASK_BYTES // (itemsize * rows * cols)))
 
     saturated = False
     win_blocks = None  # per k block, whether it holds a sum on the winning side
     win_limit = lose_limit = None
-    # |a + b| ≤ max|x| + max|y| entrywise
-    limit = _saturation_limit(max_finite_magnitude(x.data) + max_finite_magnitude(y.data), integer)
+    limit = _saturation_limit(bound, integer)
     if limit is not None:
         low, high = _reaches(x.data, y.data, limit)
         saturated = bool(low.any() or high.any())
@@ -413,31 +468,41 @@ def matmul(
             lose_limit = None
 
     spans = [
-        (r0, min(r0 + spec.tile_rows, nr), c0, min(c0 + spec.tile_cols, nc))
-        for r0 in range(0, nr, spec.tile_rows)
+        (r0, min(r0 + rows, nr), c0, min(c0 + spec.tile_cols, nc))
+        for r0 in range(0, nr, rows)
         for c0 in range(0, nc, spec.tile_cols)
     ]
 
     def run(share: "list[tuple[int, int, int, int]]") -> None:
-        """Fill each tile in share, folding k in blocks of kb.
+        """Fill each tile in share, folding k in blocks of kb laid out k-outermost.
 
-        One block buffer and one reduce buffer serve every tile of the share.
+        One block buffer, one reduce buffer and, in float32, one accumulator
+        tile serve every tile of the share.
         """
-        block_buf = _aligned_empty(rows * kb * cols)
-        reduce_buf = _aligned_empty(rows * cols) if kb < nk else None
+        block_buf = _aligned_empty(kb * rows * cols, dtype)
+        reduce_buf = _aligned_empty(rows * cols, dtype) if 1 < kb < nk else None
+        acc_buf = _aligned_empty(rows * cols, dtype) if single else None
         for r0, r1, c0, c1 in share:
+            h, w = r1 - r0, c1 - c0
             tile = out[r0:r1, c0:c1]
+            acc = acc_buf[: h * w].reshape(h, w) if single else tile
             for k0 in range(0, nk, kb):
                 k1 = min(k0 + kb, nk)
-                block = block_buf[: (r1 - r0) * (k1 - k0) * (c1 - c0)].reshape(r1 - r0, k1 - k0, c1 - c0)
+                # a first block of one k is summed straight into the tile
+                block = acc[None] if k1 == 1 else block_buf[: (k1 - k0) * h * w].reshape(k1 - k0, h, w)
                 with np.errstate(over="ignore"):
-                    np.add(x.data[r0:r1, k0:k1, None], y.data[None, k0:k1, c0:c1], out=block)
+                    np.add(xd[r0:r1, k0:k1].T[:, :, None], yd[k0:k1, None, c0:c1], out=block)
                 if win_blocks is not None and win_blocks[k0 // kb]:
                     _saturate(block, win_limit, eps)
-                part = tile if k0 == 0 else reduce_buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
-                combine.reduce(block, axis=1, out=part)
+                if k1 - k0 == 1:
+                    part = block[0]
+                else:
+                    part = acc if k0 == 0 else reduce_buf[: h * w].reshape(h, w)
+                    combine.reduce(block, axis=0, out=part)
                 if k0:
-                    combine(tile, part, out=tile)
+                    combine(acc, part, out=acc)
+            if single:
+                tile[...] = acc  # widening is exact
             if lose_limit is not None:
                 _saturate(tile, lose_limit, eps)
             if accd is not None:

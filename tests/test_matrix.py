@@ -1,11 +1,14 @@
+import copy
 import math
+import os
+import pickle
 import random
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -54,6 +57,21 @@ def random_grid(rng, r, c, lo=-50, hi=100, p_inf=0.25):
 def oracle_product(kind, x_grid, y_grid):
     z = oracles.naive_matmul(kind.value, oracles.from_symbolic(x_grid), oracles.from_symbolic(y_grid))
     return oracles.to_symbolic(z)
+
+
+def use_the_pool(monkeypatch):
+    """Lower the pool cut-off so that products with worker_count > 1 fan out,
+    and return the list that records each pool matmul hands its tiles to."""
+    monkeypatch.setattr(matrix_module, "_PARALLEL_MIN_OPS", 1)
+    pools = []
+    shared_pool = matrix_module._shared_pool
+
+    def recording():
+        pools.append(shared_pool())
+        return pools[-1]
+
+    monkeypatch.setattr(matrix_module, "_shared_pool", recording)
+    return pools
 
 
 def test_identity_matrix_example():
@@ -154,13 +172,14 @@ def test_tiled_variants_are_bit_identical():
                 assert matmul(x, y, tiles=spec).tobytes() == reference
 
 
-def test_pool_execution_matches_inline():
-    # large enough that worker_count > 1 really dispatches to the pool
+def test_pool_execution_matches_inline(monkeypatch):
     rng = random.Random(11)
     x = TropicalMatrix(MIN, random_grid(rng, 48, 48))
     y = TropicalMatrix(MIN, random_grid(rng, 48, 48))
     inline = matmul(x, y, tiles=TileSpec(5, 7, 1))
+    pools = use_the_pool(monkeypatch)
     pooled = matmul(x, y, tiles=TileSpec(5, 7, 4))
+    assert pools or available_parallelism() == 1
     assert inline.tobytes() == pooled.tobytes()
 
 
@@ -305,6 +324,12 @@ def test_shared_dense_core(cls, values, infinite_at, wrong_rank, empty, twin_cls
     assert a.weight_at(*infinite_at).value == INF
     assert repr(a).startswith(f"{cls.__name__}(maxplus, ")
 
+    for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(copied) is cls and copied == a and copied.integer is a.integer
+        assert not copied.data.flags.writeable
+        with pytest.raises(AttributeError):
+            copied.kind = MIN
+
 
 def test_negative_zero_is_normalized():
     a = TropicalMatrix(MIN, [[-0.0]])
@@ -428,7 +453,6 @@ def test_k_blocks_match_naive_reference(monkeypatch):
             kind = MIN if case % 2 else MAX
             r, k, c = (rng.randint(1, 16) for _ in range(3))
             xg, yg = random_grid(rng, r, k), random_grid(rng, k, c)
-            x, y = TropicalMatrix(kind, xg), TropicalMatrix(kind, yg)
             acc_grid = random_grid(rng, r, c) if case % 4 < 2 else None
             want = oracle_product(kind, xg, yg)
             if acc_grid is not None:
@@ -437,17 +461,22 @@ def test_k_blocks_match_naive_reference(monkeypatch):
                     [a if math.isinf(b) else b if math.isinf(a) else pick(a, b) for a, b in zip(wr, ar)]
                     for wr, ar in zip(want, acc_grid)
                 ]
-            acc = None if acc_grid is None else TropicalMatrix(kind, acc_grid)
-            for spec in (TileSpec(1, 1, 2), TileSpec(2, 2, 1), TileSpec(1, c, 2)):
-                kb = max(1, budget // (8 * min(spec.tile_rows, r) * min(spec.tile_cols, c)))
-                ragged += k > kb and k % kb != 0
-                got = matmul(x, y, accumulate_into=acc, tiles=spec)
-                assert got.tobytes() == TropicalMatrix(kind, want).tobytes()
-    assert ragged >= 20
-    # large enough to fan out to the pool: 5x7 tiles, k blocks of 3 over k=40
+            # small integers take the float32 blocks, integer=False the float64 ones
+            for integer, itemsize in ((None, 4), (False, 8)):
+                x, y = TropicalMatrix(kind, xg, integer), TropicalMatrix(kind, yg, integer)
+                acc = None if acc_grid is None else TropicalMatrix(kind, acc_grid, integer)
+                for spec in (TileSpec(1, 1, 2), TileSpec(2, 2, 1), TileSpec(1, c, 2)):
+                    kb = max(1, budget // (itemsize * min(spec.tile_rows, r) * min(spec.tile_cols, c)))
+                    ragged += k > kb and k % kb != 0
+                    got = matmul(x, y, accumulate_into=acc, tiles=spec)
+                    assert got.tobytes() == TropicalMatrix(kind, want).tobytes()
+    assert ragged >= 40
+    # on the pool: 5x7 tiles, float32 k blocks of 6 over k=40
+    pools = use_the_pool(monkeypatch)
     monkeypatch.setattr(matrix_module, "_TASK_BYTES", 8 * 5 * 7 * 3)
     xg, yg = random_grid(rng, 48, 40), random_grid(rng, 40, 44)
     got = matmul(TropicalMatrix(MIN, xg), TropicalMatrix(MIN, yg), tiles=TileSpec(5, 7, 4))
+    assert pools or available_parallelism() == 1
     assert got.tobytes() == TropicalMatrix(MIN, oracle_product(MIN, xg, yg)).tobytes()
 
 
@@ -535,8 +564,52 @@ def test_saturating_products_match_the_saturating_oracle(case):
     assert seen is flag
 
 
+# integral magnitudes whose sums land on both sides of 2^24, where float32 stops being exact
+NEAR_2_23 = (2.0**23, 2.0**23 - 1, 2.0**23 + 1, 2.0**23 + 2, 2.0**22 + 1)
+
+
+@st.composite
+def near_single_limit_products(draw):
+    """(kind, x, y, acc or None, tiles or None, _TASK_BYTES or None), every entry integral"""
+    entry = _edge_entries(NEAR_2_23)
+    r, c = (draw(st.integers(min_value=1, max_value=6)) for _ in range(2))
+    k = draw(st.integers(min_value=1, max_value=9))
+    x = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+    y = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+    acc = draw(st.none() | st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    tiles = draw(st.sampled_from([None, TileSpec(1, 1, 2), TileSpec(2, 2, 1), TileSpec(1, c, 2)]))
+    # budgets of a few k slices, so k blocks of 1-6 end in a ragged tail
+    task_bytes = draw(st.sampled_from([None, 8, 16, 24, 48, 96]))
+    return draw(kinds), x, y, acc, tiles, task_bytes
+
+
+@given(near_single_limit_products())
+# max|x| + max|y| reaches 2^24, so float64 runs: 2^24 + 3 has no float32
+@example((MIN, [[2.0**23 + 1, 9.0]], [[2.0**23 + 2], [INF]], None, None, None))
+# just under 2^24: float32, several ragged k blocks, then a float64 ⊕ with the accumulator
+@example((MAX, [[2.0**23 - 1, -9.0, 4.0]], [[2.0**23], [-(2.0**23)], [3.0]], [[-(2.0**23 + 1)]], TileSpec(1, 1, 2), 8))
+def test_float32_products_have_the_float64_bits(case):
+    """An integer-mode product, in float32 wherever max|x| + max|y| < 2^24,
+    has the bytes of the same product with integer=False, which runs in float64."""
+    kind, xg, yg, acc_grid, tiles, task_bytes = case
+    with pytest.MonkeyPatch.context() as patch:
+        if task_bytes is not None:
+            patch.setattr(matrix_module, "_TASK_BYTES", task_bytes)
+        single, double = (
+            matmul(
+                TropicalMatrix(kind, xg, integer),
+                TropicalMatrix(kind, yg, integer),
+                None if acc_grid is None else TropicalMatrix(kind, acc_grid, integer),
+                tiles,
+            )
+            for integer in (True, False)
+        )
+    assert single.data.tobytes() == double.data.tobytes()
+
+
 def test_pool_products_saturate_like_the_oracle(monkeypatch):
-    # large enough to fan out to the pool, with k blocks of 3 over k=40
+    # on the pool, with k blocks of 3 over k=40
+    pools = use_the_pool(monkeypatch)
     monkeypatch.setattr(matrix_module, "_TASK_BYTES", 8 * 5 * 7 * 3)
     rng = random.Random(0x5A70)
     big = 2.0**52
@@ -553,34 +626,63 @@ def test_pool_products_saturate_like_the_oracle(monkeypatch):
             assert flag and saturation_seen()
             assert got.tobytes() == TropicalMatrix(kind, oracles.to_symbolic(want)).tobytes()
     reset_saturation()
+    assert pools or available_parallelism() == 1
 
 
-def test_threads_per_call_are_bounded():
+def test_threads_per_call_are_bounded(monkeypatch):
     rng = random.Random(96)
     x = TropicalMatrix(MIN, random_grid(rng, 96, 96))
     before = threading.active_count()
+    pools = use_the_pool(monkeypatch)
     got = matmul(x, x, tiles=TileSpec(1, 1, 64))
     assert threading.active_count() <= before + available_parallelism()
+    assert pools or available_parallelism() == 1
     assert got.tobytes() == matmul(x, x, tiles=TileSpec(96, 96, 1)).tobytes()
 
 
-def test_kernel_buffers_start_on_cache_lines(monkeypatch):
-    addresses = []
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no per-thread CPU affinity here")
+def test_pool_threads_run_on_distinct_cpus():
+    workers = available_parallelism()
+    meet = threading.Barrier(workers, timeout=30)  # holds one task on each pool thread
 
-    def recording(size):
-        buf = aligned_empty(size)
-        addresses.append(buf.ctypes.data)
+    def cpus_of_this_thread():
+        meet.wait()
+        return frozenset(os.sched_getaffinity(0))
+
+    pool = matrix_module._shared_pool()
+    seen = [f.result(timeout=60) for f in [pool.submit(cpus_of_this_thread) for _ in range(workers)]]
+    assert all(len(cpus) == 1 for cpus in seen)
+    assert len(set(seen)) == workers and frozenset().union(*seen) <= os.sched_getaffinity(0)
+
+
+def test_kernel_buffers_start_on_cache_lines(monkeypatch):
+    buffers = []
+
+    def recording(size, dtype=np.float64):
+        buf = aligned_empty(size, dtype)
+        buffers.append((buf.ctypes.data, buf.dtype, buf.nbytes))
         return buf
 
     aligned_empty = matrix_module._aligned_empty
-    for size in (1, 7, 8, 9, 1000, 131072):
-        buf = aligned_empty(size)
-        assert buf.shape == (size,) and buf.dtype == np.float64 and buf.flags.writeable
-        assert buf.ctypes.data % 64 == 0
+    for dtype in (np.float32, np.float64):
+        for size in (1, 7, 8, 9, 1000, 131072):
+            buf = aligned_empty(size, dtype)
+            assert buf.shape == (size,) and buf.dtype == dtype and buf.flags.writeable
+            assert buf.ctypes.data % 64 == 0
+    budget = 8 * 3 * 5 * 2
     monkeypatch.setattr(matrix_module, "_aligned_empty", recording)
-    monkeypatch.setattr(matrix_module, "_TASK_BYTES", 8 * 3 * 5 * 2)
+    monkeypatch.setattr(matrix_module, "_TASK_BYTES", budget)
     rng = random.Random(64)
-    xg, yg = random_grid(rng, 6, 9), random_grid(rng, 9, 5)
-    got = matmul(TropicalMatrix(MIN, xg), TropicalMatrix(MIN, yg), tiles=TileSpec(3, 5, 1))
-    assert got.tobytes() == TropicalMatrix(MIN, oracle_product(MIN, xg, yg)).tobytes()
-    assert len(addresses) == 2 and all(a % 64 == 0 for a in addresses)
+    xg, yg = random_grid(rng, 6, 9), random_grid(rng, 9, 10)
+    want = TropicalMatrix(MIN, oracle_product(MIN, xg, yg)).tobytes()
+    cases = (
+        (None, TileSpec(3, 5, 1), np.float32, 3),  # blocks of 4 k, a reduce buffer, the float32 tile
+        (False, TileSpec(3, 5, 1), np.float64, 2),  # blocks of 2 k and a reduce buffer
+        (False, TileSpec(6, 10, 1), np.float64, 1),  # a one-k slice of 480 bytes: rows in groups of 3
+    )
+    for integer, tiles, dtype, count in cases:
+        buffers.clear()
+        got = matmul(TropicalMatrix(MIN, xg, integer), TropicalMatrix(MIN, yg, integer), tiles=tiles)
+        assert got.tobytes() == want
+        assert len(buffers) == count
+        assert all(a % 64 == 0 and d == dtype and nbytes <= budget for a, d, nbytes in buffers)
