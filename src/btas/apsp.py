@@ -16,12 +16,13 @@ round k.
 
 Floyd-Warshall climbs a ladder of passes.  An unmasked pass in a dtype
 runs only while the overflow screen 2(n+1)·max|w| stays under that
-dtype's exact limit L (2^(24-s) in float32 for multiples of 2^-s; 2^53,
-or inf in float mode, in float64), and is dropped within 16 rounds once
-an entry is at or below -L.  The last rung is the float64 pass that masks
-every sum reaching the limit.  A pass that ends above -L has its bits:
-the screen bounds every sum from above, so a sum can reach L only on the
-negative side, and entries only decrease, so it leaves one at or below -L.
+dtype's exact limit L, and is dropped within 16 rounds once an entry is
+at or below -L.  L is 2^53, or inf in float mode, in float64, and
+2^(24-s) in float32 by matmul's rule (every finite weight a multiple of
+2^-s).  The last rung is the float64 pass that masks every sum reaching
+the limit.  A pass that ends above -L has its bits: the screen bounds
+every sum from above, so a sum reaches L only on the negative side, and
+as entries only decrease it leaves one at or below -L.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .matrix import (
     _saturation_limit,
     matmul,
 )
-from .semiring import SINGLE_EXACT_LIMIT, SemiringKind, _note_saturation, dyadic_scale, max_finite_magnitude
+from .semiring import (SINGLE_EXACT_LIMIT, SemiringKind, _note_saturation, magnitude_and_scale,
+                       max_finite_magnitude, single_scale)
 
 
 class Algorithm(Enum):
@@ -234,24 +236,19 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
     negative cycle can drive entries down exponentially in n (Hougardy,
     IPL 110, 2010).
 
-    Passes (module docstring): the rungs are float32 with L = 2^(24-s)
-    when every finite weight is a multiple of 2^-s (dyadic_scale; s = 0
-    for integers, 2 for quarter-integers), float64 with L the limit, and
-    the masking float64 pass; a dropped pass stops within _FLOOR_ROUNDS
-    rounds.  In float32 every entry and sum is a multiple of 2^-s, exact
-    while its magnitude stays under L.  Rounding is monotone, so a sum whose
-    magnitude reaches L leaves an entry at or below -L (or -inf, or NaN),
-    and a pass that ends above -L met no sum the masking pass replaces:
-    it has that pass's bits and flags.  Every rung runs from the input in
-    the one n x n result; a float32 pass uses the first half of its buffer
-    and is widened in place (_widen).  The screen reads adj, whose diagonal
-    is never below the closure base's in magnitude; where only the
+    Passes (module docstring): float32 with L = 2^(24-s) when one read of
+    adj gives s and screen·2^s < 2^24 (single_scale, as in matmul); float64
+    with L the limit; then the masking float64 pass.  Each runs from the
+    input in the one n x n result; a float32 pass uses the first half of its
+    buffer and is widened in place (_widen).  The screen reads adj, whose
+    diagonal is never below the closure base's in magnitude; where only the
     diagonal trips it, the masking pass runs and masks nothing.
     """
     n = _require_square_minplus(adj)
     b = max(1, min(n, _TASK_BYTES // (16 * n)))
-    screen = 2.0 * (n + 1) * max_finite_magnitude(adj.data)
-    s = dyadic_scale(adj.data, screen)
+    top, s = magnitude_and_scale(adj.data, adj.integer)
+    screen = 2.0 * (n + 1) * top
+    s = single_scale(screen, s)
     limit = _saturation_limit(math.inf, adj.integer)  # every bound reaches the limit itself
     rungs = []  # the unmasked passes, (dtype, L), narrowest first
     if s is not None:

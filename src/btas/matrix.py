@@ -22,9 +22,9 @@ as row strips from tile_plan, with about four strips per available CPU, on
 a pool whose threads are pinned one per CPU; below _PARALLEL_MIN_OPS
 semiring operations it runs as one tile on the calling thread.  Each task
 sums a block of k laid out k-outermost, (k, rows, cols), and folds it over
-k with one reduce whose inner loops span the whole tile.  Integer-mode
-operands with max|x| + max|y| < 2^24 run those blocks in float32: every sum
-is an integer float32 holds exactly, so widening gives the float64 bits.
+k with one reduce whose inner loops span the whole tile.  They run in
+float32 when every entry is a multiple of 2^-s and (max|x| + max|y|)·2^s <
+2^24, the rule floyd_warshall shares: every sum is then exact in float32.
 
 Saturation follows one rule, stated in matmul: a finite+finite sum whose
 magnitude reaches the limit is ε.  A product that can reach the limit at
@@ -47,13 +47,13 @@ import numpy as np
 
 from .semiring import (
     INT_EXACT_LIMIT,
-    SINGLE_EXACT_LIMIT,
     SemiringKind,
     TropicalWeight,
     _note_saturation,
     exact_integers,
-    max_finite_magnitude,
+    magnitude_and_scale,
     read_weight,
+    single_scale,
     weights_ok,
 )
 
@@ -397,13 +397,12 @@ def matmul(
     for kb values of k into a (kb, rows, cols) buffer of at most _TASK_BYTES,
     and combine.reduce over axis 0 folds it into the tile.  A block of one k
     is combined with the tile directly, and a tile whose one-k slice alone
-    passes _TASK_BYTES is filled in groups of rows whose slice fits.  When x
-    and y are both in integer mode and max|x| + max|y| < SINGLE_EXACT_LIMIT
-    (2^24), the blocks and the running tile are float32, kb is counted in
-    float32 items, and the tile is widened before accumulate_into is
-    combined in float64.  Every sum is then an integer under 2^24, which
-    float32 holds exactly, so the bits are those of the float64 route, and
-    nothing can saturate.
+    passes _TASK_BYTES is filled in groups of rows whose slice fits.  When
+    every entry of x and y is a multiple of 2^-s and (max|x| + max|y|)·2^s
+    < 2^24 (single_scale), the blocks and the running tile are float32, kb
+    is counted in float32 items, and the tile is widened before
+    accumulate_into is combined in float64.  Every sum is then exact, so the
+    bits are those of the float64 route, and nothing can saturate.
 
     Saturation: a finite+finite sum whose magnitude reaches the limit (2^53
     in integer mode, overflow in float mode) is Infinity.  When max|x| +
@@ -440,12 +439,14 @@ def matmul(
     combine = _combine_ufunc(x.kind)
     eps = _oriented_infinity(x.kind)
 
-    # |a + b| ≤ max|x| + max|y| entrywise
-    bound = max_finite_magnitude(x.data) + max_finite_magnitude(y.data)
-    # integer sums under 2^24 are exact in float32, and so are min and max
-    single = x.integer and y.integer and bound < SINGLE_EXACT_LIMIT
+    # |a + b| ≤ max|x| + max|y| entrywise; a square x ⊗ x is read and converted once
+    mx, sx = magnitude_and_scale(x.data, x.integer)
+    my, sy = (mx, sx) if y is x else magnitude_and_scale(y.data, y.integer)
+    bound = mx + my
+    single = single_scale(bound, sx, sy) is not None
     dtype = np.float32 if single else np.float64
-    xd, yd = x.data.astype(dtype, copy=False), y.data.astype(dtype, copy=False)
+    xd = x.data.astype(dtype, copy=False)
+    yd = xd if y is x else y.data.astype(dtype, copy=False)
     itemsize = np.dtype(dtype).itemsize
     cols = min(spec.tile_cols, nc)
     # a tile whose one-k slice passes the budget is walked in row groups that fit it

@@ -80,18 +80,16 @@ def weights_ok(values: np.ndarray, finite: bool = False) -> bool:
     return bool((np.isfinite(values) if finite else values > -math.inf).all())
 
 
-#: max_finite_magnitude, exact_integers and dyadic_scale read their input in
+#: max_finite_magnitude, exact_integers and magnitude_and_scale read their input in
 #: leading-axis blocks of about this many entries.
 _MAGNITUDE_BLOCK = 1 << 14
 
 
 def _finite_magnitudes(values: np.ndarray):
-    """|v| for each leading-axis block of values, infinities as 0.0.
-
-    Every block is written into one buffer of about _MAGNITUDE_BLOCK
-    entries, whatever the size of values, so each must be used before the
-    next is asked for.  A fresh array per block would hold two blocks at
-    once while the next one is taken."""
+    """|v| for each leading-axis block of values, infinities as 0.0.  Every
+    block is written into one buffer of about _MAGNITUDE_BLOCK entries, so
+    each must be used before the next is asked for; a fresh array per block
+    would hold two blocks at once while the next one is taken."""
     step = max(1, _MAGNITUDE_BLOCK // max(1, values[:1].size))  # rows per block
     buf = np.empty((min(step, len(values)),) + values.shape[1:])
     for r0 in range(0, len(values), step):
@@ -106,45 +104,49 @@ def max_finite_magnitude(values: np.ndarray) -> float:
     return max((float(m.max(initial=0.0)) for m in _finite_magnitudes(values)), default=0.0)
 
 
-def exact_integers(values: np.ndarray) -> bool:
-    """True iff every finite entry is integral and below INT_EXACT_LIMIT in magnitude.
+def _multiples(m: np.ndarray, s: int) -> bool:
+    """Whether every entry of m is a multiple of 2^-s (scaling by 2^s is exact)."""
+    scaled = np.ldexp(m, s) if s else m
+    return bool((np.trunc(scaled) == scaled).all())
 
+
+def exact_integers(values: np.ndarray) -> bool:
+    """True iff every finite entry is integral and below INT_EXACT_LIMIT in magnitude;
     |v| is integral exactly when v is, so one block of magnitudes serves both tests."""
-    return all(
-        m.max(initial=0.0) < INT_EXACT_LIMIT and (np.trunc(m) == m).all() for m in _finite_magnitudes(values)
-    )
+    return all(m.max(initial=0.0) < INT_EXACT_LIMIT and _multiples(m, 0) for m in _finite_magnitudes(values))
 
 
 #: float32's 24-bit significand holds every multiple of 2^-s below 2^(24-s) in
 #: magnitude exactly, and as a normal number while s ≤ SINGLE_MAX_SCALE.
 SINGLE_EXACT_LIMIT = float(2**24)
 
-#: float32's least normal magnitude is 2^-126.  Below it the multiples of 2^-s
-#: are subnormal, which are slow on x86, and past s = 149 they are not
-#: float32 numbers at all (2^-200 becomes 0.0).
+#: float32's least normal magnitude is 2^-126: below it multiples of 2^-s are
+#: subnormal (slow on x86), and past s = 149 not float32 at all (2^-200 is 0.0).
 SINGLE_MAX_SCALE = 126
 
 
-def dyadic_scale(values: np.ndarray, bound: float) -> "int | None":
-    """The least s with 0 ≤ s ≤ SINGLE_MAX_SCALE such that every finite entry
-    is a multiple of 2^-s and bound·2^s < 2^24, or None when there is none
-    (for 0.1, 1/3 or 2^-200, say).
-
-    Sums and differences of multiples of 2^-s are multiples of 2^-s, so a
-    float32 computation whose every sum stays below bound in magnitude is
-    then exact, in normal numbers.  Scaling by 2 is exact, so each block of
-    magnitudes is scaled in place until it is integral."""
-    if not bound < SINGLE_EXACT_LIMIT:
-        return None
-    s = 0
+def magnitude_and_scale(values: np.ndarray, integer: bool = False) -> "tuple[float, int | None]":
+    """One read of values: the largest finite |v| (0.0 when none), and the
+    least s ≤ SINGLE_MAX_SCALE with every finite entry a multiple of 2^-s and
+    |v|·2^s < 2^24, or None (for 0.1, 1/3 or 2^-200, say); s = 0 in integer
+    mode.  A block not integral at the running s is tested once at the
+    largest s the running magnitude allows, and if it fails there s is None."""
+    top, s = 0.0, 0
     for m in _finite_magnitudes(values):
-        np.ldexp(m, s, out=m)
-        while not (np.trunc(m) == m).all():
-            s += 1
-            if s > SINGLE_MAX_SCALE or not math.ldexp(bound, s) < SINGLE_EXACT_LIMIT:
-                return None
-            m *= 2.0
-    return s
+        top = max(top, float(m.max(initial=0.0)))
+        ceiling = min(SINGLE_MAX_SCALE, 24 - math.frexp(top)[1])  # the largest s with top·2^s < 2^24
+        if s is not None and (s > ceiling or not (integer or _multiples(m, s))):
+            found = s < ceiling and _multiples(m, ceiling)  # one test settles whether any s will do
+            s = next(t for t in range(s + 1, ceiling + 1) if _multiples(m, t)) if found else None
+    return top, s
+
+
+def single_scale(bound: float, *scales: "int | None") -> "int | None":
+    """The float32 rule of matmul and floyd_warshall: s = max(scales) when no
+    scale is None and bound·2^s < 2^24, else None.  Sums of multiples of 2^-s
+    are multiples of 2^-s, so each one under bound is exact in float32."""
+    s = None if None in scales else max(scales)
+    return s if s is not None and bound * 2.0**s < SINGLE_EXACT_LIMIT else None
 
 
 def format_weights(values: "list[float]", integer: bool) -> "list[str]":

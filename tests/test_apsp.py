@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from btas import apsp
+from btas import apsp, semiring
 from btas.apsp import (
     Algorithm,
     DistanceMatrix,
@@ -571,7 +571,7 @@ def test_floyd_warshall_float32_pass_has_the_float64_bits(graph, b):
         reset_saturation()
         narrow = floyd_warshall(adj)
         narrow_saturated = saturation_seen()
-        patch.setattr(apsp, "dyadic_scale", lambda values, bound: None)
+        patch.setattr(semiring, "SINGLE_EXACT_LIMIT", 0.0)  # no screen is under it: float64 only
         reset_saturation()
         wide = floyd_warshall(adj)
     assert narrow.distances.dist.tobytes() == wide.distances.dist.tobytes()
@@ -579,6 +579,46 @@ def test_floyd_warshall_float32_pass_has_the_float64_bits(graph, b):
     assert narrow.negative_cycle == wide.negative_cycle
     assert narrow_saturated == saturation_seen()
     reset_saturation()
+
+
+def test_each_operand_is_read_once(monkeypatch):
+    """floyd_warshall takes its screen's magnitude and its scale s from one
+    read of adj.data, whatever its weights; matmul reads each distinct
+    operand once, and a square x ⊗ x reads x once.  A block of real weights
+    is tested at s = 0 and once more at the largest s its magnitude allows,
+    and the blocks after it are read for their magnitude only."""
+    n = 160  # two blocks of rows
+    integers = random_graph(n, 0.5, (1, 100), 7)
+    graphs = {
+        "integer": integers,
+        "quarter-integer": Graph(n, [(u, v, w / 4) for u, v, w in integers.edges]),
+        "real": random_graph(n, 0.5, (0.1, 10.7), 7),
+    }
+    adjs = {name: graph_to_matrix(graph) for name, graph in graphs.items()}
+    x, y = adjs["integer"], adjs["quarter-integer"]
+    reads, tests = [], []
+    finite_magnitudes, multiples = semiring._finite_magnitudes, semiring._multiples
+
+    def reading(values):
+        reads.append(values)
+        return finite_magnitudes(values)
+
+    def testing(m, s):
+        tests.append(s)
+        return multiples(m, s)
+
+    monkeypatch.setattr(semiring, "_finite_magnitudes", reading)
+    monkeypatch.setattr(semiring, "_multiples", testing)
+    for name, adj in adjs.items():
+        reads.clear()
+        tests.clear()
+        floyd_warshall(adj)
+        assert len(reads) == 1 and reads[0] is adj.data, name
+    assert tests == [0, 24 - 4]  # real weights below 16: the ceiling is s = 20
+    for a, b in ((x, y), (y, x), (x, x), (y, y)):
+        reads.clear()
+        matmul(a, b)
+        assert [id(values) for values in reads] == [id(a.data)] + ([id(b.data)] if b is not a else [])
 
 
 def _relaxed_dtypes(monkeypatch, adj):

@@ -5,6 +5,8 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from btas import matrix as matrix_module
+from btas import semiring
 from btas.matrix import (
     DimensionMismatch,
     SemiringMismatch,
@@ -72,6 +75,29 @@ def use_the_pool(monkeypatch):
 
     monkeypatch.setattr(matrix_module, "_shared_pool", recording)
     return pools
+
+
+def _max_finite(grid):
+    return max((abs(v) for row in grid for v in row if v != INF), default=0.0)
+
+
+def force_float64(monkeypatch):
+    """No bound is under float32's exact limit, so every product and every
+    Floyd-Warshall pass runs in float64."""
+    monkeypatch.setattr(semiring, "SINGLE_EXACT_LIMIT", 0.0)
+
+
+def kernel_dtypes(monkeypatch):
+    """Return the list that records the dtype of each kernel buffer matmul takes."""
+    dtypes = []
+    aligned_empty = matrix_module._aligned_empty
+
+    def recording(size, dtype=np.float64):
+        dtypes.append(np.dtype(dtype))
+        return aligned_empty(size, dtype)
+
+    monkeypatch.setattr(matrix_module, "_aligned_empty", recording)
+    return dtypes
 
 
 def test_identity_matrix_example():
@@ -461,15 +487,20 @@ def test_k_blocks_match_naive_reference(monkeypatch):
                     [a if math.isinf(b) else b if math.isinf(a) else pick(a, b) for a, b in zip(wr, ar)]
                     for wr, ar in zip(want, acc_grid)
                 ]
-            # small integers take the float32 blocks, integer=False the float64 ones
-            for integer, itemsize in ((None, 4), (False, 8)):
+            # small integers take the float32 blocks; with float32 forced off, integer=False takes float64 ones
+            for integer, dtype in ((None, np.dtype(np.float32)), (False, np.dtype(np.float64))):
                 x, y = TropicalMatrix(kind, xg, integer), TropicalMatrix(kind, yg, integer)
                 acc = None if acc_grid is None else TropicalMatrix(kind, acc_grid, integer)
-                for spec in (TileSpec(1, 1, 2), TileSpec(2, 2, 1), TileSpec(1, c, 2)):
-                    kb = max(1, budget // (itemsize * min(spec.tile_rows, r) * min(spec.tile_cols, c)))
-                    ragged += k > kb and k % kb != 0
-                    got = matmul(x, y, accumulate_into=acc, tiles=spec)
-                    assert got.tobytes() == TropicalMatrix(kind, want).tobytes()
+                with monkeypatch.context() as patch:
+                    dtypes = kernel_dtypes(patch)
+                    if integer is False:
+                        force_float64(patch)
+                    for spec in (TileSpec(1, 1, 2), TileSpec(2, 2, 1), TileSpec(1, c, 2)):
+                        kb = max(1, budget // (dtype.itemsize * min(spec.tile_rows, r) * min(spec.tile_cols, c)))
+                        ragged += k > kb and k % kb != 0
+                        got = matmul(x, y, accumulate_into=acc, tiles=spec)
+                        assert got.tobytes() == TropicalMatrix(kind, want).tobytes()
+                assert set(dtypes) == {dtype}
     assert ragged >= 40
     # on the pool: 5x7 tiles, float32 k blocks of 6 over k=40
     pools = use_the_pool(monkeypatch)
@@ -590,21 +621,108 @@ def near_single_limit_products(draw):
 @example((MAX, [[2.0**23 - 1, -9.0, 4.0]], [[2.0**23], [-(2.0**23)], [3.0]], [[-(2.0**23 + 1)]], TileSpec(1, 1, 2), 8))
 def test_float32_products_have_the_float64_bits(case):
     """An integer-mode product, in float32 wherever max|x| + max|y| < 2^24,
-    has the bytes of the same product with integer=False, which runs in float64."""
+    has the bytes of the same product with integer=False and float32 forced
+    off, which runs in float64."""
     kind, xg, yg, acc_grid, tiles, task_bytes = case
+
+    def product(integer):
+        acc = None if acc_grid is None else TropicalMatrix(kind, acc_grid, integer)
+        return matmul(TropicalMatrix(kind, xg, integer), TropicalMatrix(kind, yg, integer), acc, tiles)
+
     with pytest.MonkeyPatch.context() as patch:
         if task_bytes is not None:
             patch.setattr(matrix_module, "_TASK_BYTES", task_bytes)
-        single, double = (
-            matmul(
-                TropicalMatrix(kind, xg, integer),
-                TropicalMatrix(kind, yg, integer),
-                None if acc_grid is None else TropicalMatrix(kind, acc_grid, integer),
-                tiles,
-            )
-            for integer in (True, False)
-        )
+        dtypes = kernel_dtypes(patch)
+        single = product(True)
+        assert set(dtypes) == {np.dtype(np.float32 if _max_finite(xg) + _max_finite(yg) < 2**24 else np.float64)}
+        force_float64(patch)
+        dtypes.clear()
+        double = product(False)
+        assert set(dtypes) == {np.dtype(np.float64)}
     assert single.data.tobytes() == double.data.tobytes()
+
+
+@st.composite
+def dyadic_products(draw):
+    """(kind, x, y, acc or None, tiles or None, _TASK_BYTES or None): every
+    entry of x a multiple of 2^-sx and of y of 2^-sy, sx and sy in {0, 1, 2,
+    5} and sx either sy or 0, with magnitudes near 2^(23-s) for s = max(sx,
+    sy), so that max|x| + max|y| lands on both sides of 2^(24-s).  The
+    accumulator holds integers, multiples of 2^-s or tenths."""
+    sy = draw(st.sampled_from([0, 1, 2, 5]))
+    sx = draw(st.sampled_from([sy, 0]))
+    s = max(sx, sy)
+
+    def entries(scale):
+        near = st.sampled_from(NEAR_2_23).map(lambda v: math.floor(v * 2.0 ** (scale - s)) * 2.0**-scale)
+        return st.one_of(near, near.map(lambda v: -v), st.integers(-9 * 2**scale, 9 * 2**scale).map(
+            lambda m: m * 2.0**-scale), st.just(INF))
+
+    r, c = (draw(st.integers(min_value=1, max_value=6)) for _ in range(2))
+    k = draw(st.integers(min_value=1, max_value=9))
+    x = draw(st.lists(st.lists(entries(sx), min_size=k, max_size=k), min_size=r, max_size=r))
+    y = draw(st.lists(st.lists(entries(sy), min_size=c, max_size=c), min_size=k, max_size=k))
+    acc_entry = draw(st.sampled_from([entries(0), entries(s), st.integers(-99, 99).map(lambda m: m / 10)]))
+    acc = draw(st.none() | st.lists(st.lists(acc_entry | st.just(INF), min_size=c, max_size=c),
+                                    min_size=r, max_size=r))
+    tiles = draw(st.sampled_from([None, TileSpec(1, 1, 2), TileSpec(2, 2, 1), TileSpec(1, c, 2)]))
+    # budgets of a few k slices, so k blocks of 1-6 end in a ragged tail
+    task_bytes = draw(st.sampled_from([None, 8, 16, 24, 48, 96]))
+    return draw(kinds), x, y, acc, tiles, task_bytes
+
+
+@given(dyadic_products())
+# integer x, quarter-integer y: max|x| + max|y| = 2^22 - 1/4, so float32 at s = 2
+@example((MIN, [[2.0**21 - 1, 3.0]], [[2.0**21 + 0.75], [-0.25]], [[0.1]], TileSpec(1, 1, 2), 8))
+# max|x| + max|y| = 2^22 exactly: bound·2^s reaches 2^24 at s = 2, so float64
+@example((MAX, [[2.0**21 + 0.25, -3.0]], [[2.0**21 - 0.25], [0.5]], None, TileSpec(2, 2, 1), 8))
+# s = 5, just under 2^19 and then past it with a sum float32 cannot hold
+@example((MIN, [[2.0**18 - 2.0**-5, 1.0]], [[2.0**18], [-(2.0**-5)]], [[7.0]], None, None))
+@example((MAX, [[2.0**18 + 2.0**-5, 1.0]], [[2.0**18 + 2 * 2.0**-5], [-(2.0**-5)]], [[0.25]], None, 16))
+def test_dyadic_products_have_the_float64_bits(case):
+    """A product whose entries are multiples of 2^-s runs in float32 exactly
+    when max|x| + max|y| < 2^(24-s), and has the bytes of the same product
+    with float32 forced off."""
+    kind, xg, yg, acc_grid, tiles, task_bytes = case
+    finite = [v for grid in (xg, yg) for row in grid for v in row if v != INF]
+    # every finite double is k/2^s for one least s: the denominator of its exact fraction
+    s = max((Fraction(v).denominator.bit_length() - 1 for v in finite), default=0)
+    single = Fraction(_max_finite(xg) + _max_finite(yg)) * 2**s < 2**24
+    x, y = TropicalMatrix(kind, xg), TropicalMatrix(kind, yg)
+    acc = None if acc_grid is None else TropicalMatrix(kind, acc_grid)
+    with pytest.MonkeyPatch.context() as patch:
+        if task_bytes is not None:
+            patch.setattr(matrix_module, "_TASK_BYTES", task_bytes)
+        dtypes = kernel_dtypes(patch)
+        got = matmul(x, y, acc, tiles)
+        assert set(dtypes) == {np.dtype(np.float32 if single else np.float64)}
+        force_float64(patch)
+        dtypes.clear()
+        want = matmul(x, y, acc, tiles)
+        assert set(dtypes) == {np.dtype(np.float64)}
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.integer == want.integer
+
+
+def test_squaring_reads_and_converts_its_operand_once():
+    """matmul(a, a) on integers peaks at out, one float32 copy of a and the
+    task's buffers.  A second copy, n²·4 bytes, would pass the bound: with
+    a and an equal b apart the peak is about one such copy higher."""
+    n = 256
+    a = TropicalMatrix(MIN, random_grid(random.Random(256), n, n))
+    assert a.integer
+    want = matmul(a, TropicalMatrix(MIN, a.to_lists()), tiles=TileSpec(n, n, 1))
+    kb = matrix_module._TASK_BYTES // (4 * n * n)
+    task = (kb * n * n + 2 * n * n) * 4 + 3 * 64  # k blocks, reduce buffer and float32 tile, each aligned
+    tracemalloc.start()
+    try:
+        got = matmul(a, a, tiles=TileSpec(n, n, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    bound = n * n * 8 + n * n * 4 + task + 2 * np.getbufsize() * 8 + 16 * 1024
+    assert peak < bound, f"peak {peak / (n * n * 4):.3f} float32 copies of a"
 
 
 def test_pool_products_saturate_like_the_oracle(monkeypatch):
@@ -682,7 +800,10 @@ def test_kernel_buffers_start_on_cache_lines(monkeypatch):
     )
     for integer, tiles, dtype, count in cases:
         buffers.clear()
-        got = matmul(TropicalMatrix(MIN, xg, integer), TropicalMatrix(MIN, yg, integer), tiles=tiles)
+        with monkeypatch.context() as patch:
+            if dtype is np.float64:
+                force_float64(patch)
+            got = matmul(TropicalMatrix(MIN, xg, integer), TropicalMatrix(MIN, yg, integer), tiles=tiles)
         assert got.tobytes() == want
         assert len(buffers) == count
         assert all(a % 64 == 0 and d == dtype and nbytes <= budget for a, d, nbytes in buffers)

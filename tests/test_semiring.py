@@ -15,13 +15,14 @@ from btas.semiring import (
     SemiringKind,
     TropicalWeight,
     additive_identity,
-    dyadic_scale,
     format_weight,
+    magnitude_and_scale,
     max_finite_magnitude,
     multiplicative_identity,
     parse_weight,
     reset_saturation,
     saturation_seen,
+    single_scale,
     tadd,
     tmul,
 )
@@ -204,23 +205,40 @@ def test_max_finite_magnitude_peak_memory_is_a_fraction_of_its_input():
     assert peak < 0.25 * n * n * 8, f"peak {peak / (n * n * 8):.3f} n^2 float64"
 
 
+def _read_and_rule(values, bound):
+    """single_scale over magnitude_and_scale's s for values, after checking its magnitude."""
+    top, s = magnitude_and_scale(values)
+    assert top == max_finite_magnitude(values)
+    return single_scale(bound, s)
+
+
 def test_dyadic_scale_examples():
-    assert dyadic_scale(np.array([[0.0, 3.0], [-7.0, math.inf]]), 100.0) == 0
-    assert dyadic_scale(np.array([1.5, -2.0]), 100.0) == 1
-    assert dyadic_scale(np.array([0.25, 0.5, math.inf]), 100.0) == 2
-    assert dyadic_scale(np.array([-0.125]), 100.0) == 3
-    assert dyadic_scale(np.array([math.inf]), 0.0) == 0
+    assert _read_and_rule(np.array([[0.0, 3.0], [-7.0, math.inf]]), 100.0) == 0
+    assert _read_and_rule(np.array([1.5, -2.0]), 100.0) == 1
+    assert _read_and_rule(np.array([0.25, 0.5, math.inf]), 100.0) == 2
+    assert _read_and_rule(np.array([-0.125]), 100.0) == 3
+    assert _read_and_rule(np.array([math.inf]), 0.0) == 0
     for non_dyadic in (0.1, 1 / 3):
-        assert dyadic_scale(np.array([1.0, non_dyadic]), 100.0) is None
+        assert _read_and_rule(np.array([1.0, non_dyadic]), 100.0) is None
     # s must also keep bound·2^s under 2^24
-    assert dyadic_scale(np.array([1.0]), 2.0**24 - 1) == 0
-    assert dyadic_scale(np.array([1.0]), 2.0**24) is None
-    assert dyadic_scale(np.array([0.25]), 2.0**22 - 0.25) == 2
-    assert dyadic_scale(np.array([0.25]), 2.0**22) is None
+    assert _read_and_rule(np.array([1.0]), 2.0**24 - 1) == 0
+    assert _read_and_rule(np.array([1.0]), 2.0**24) is None
+    assert _read_and_rule(np.array([0.25]), 2.0**22 - 0.25) == 2
+    assert _read_and_rule(np.array([0.25]), 2.0**22) is None
     # and 2^-s a normal float32: 2^-127 would be subnormal there, 2^-200 zero
-    assert dyadic_scale(np.array([2.0**-126]), 4 * 2.0**-126) == SINGLE_MAX_SCALE == 126
-    assert dyadic_scale(np.array([2.0**-127]), 4 * 2.0**-127) is None
-    assert dyadic_scale(np.array([2.0**-200]), 6 * 2.0**-200) is None
+    assert _read_and_rule(np.array([2.0**-126]), 4 * 2.0**-126) == SINGLE_MAX_SCALE == 126
+    assert _read_and_rule(np.array([2.0**-127]), 4 * 2.0**-127) is None
+    assert _read_and_rule(np.array([2.0**-200]), 6 * 2.0**-200) is None
+    # the read alone: its s keeps the largest |v| itself under 2^(24-s), and integer mode is s = 0
+    assert magnitude_and_scale(np.array([2.0**23 + 0.5, math.inf])) == (2.0**23 + 0.5, None)
+    assert magnitude_and_scale(np.array([2.0**22 + 0.5, -1.0])) == (2.0**22 + 0.5, 1)
+    assert magnitude_and_scale(np.array([-(2.0**24) + 1, 7.0]), integer=True) == (2.0**24 - 1, 0)
+    assert magnitude_and_scale(np.array([2.0**24, 7.0]), integer=True) == (2.0**24, None)
+    # the rule: every operand needs an s, and the largest one applies to the bound
+    assert single_scale(100.0, 0, 2, 1) == 2
+    assert single_scale(100.0, 0, None) is None
+    assert single_scale(2.0**22 - 0.25, 0, 2) == 2
+    assert single_scale(2.0**22, 0, 2) is None
 
 
 @given(
@@ -237,9 +255,13 @@ def test_dyadic_scale_in_blocks_matches_exact_fractions(shape, block, data):
     arr = np.array(values, dtype=np.float64).reshape(shape)
     # every finite double is k/2^s for one least s: the denominator of its exact fraction
     s = max((Fraction(v).denominator.bit_length() - 1 for v in values if math.isfinite(v)), default=0)
+    top = max((abs(v) for v in values if math.isfinite(v)), default=0.0)
     want = s if s <= SINGLE_MAX_SCALE and Fraction(bound) * 2**s < 2**24 else None
+    read = s if s <= SINGLE_MAX_SCALE and Fraction(top) * 2**s < 2**24 else None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(semiring, "_MAGNITUDE_BLOCK", block)
-        assert dyadic_scale(arr, bound) == want
-    assert dyadic_scale(arr, bound) == want
+        assert magnitude_and_scale(arr) == (top, read)
+        assert _read_and_rule(arr, bound) == want
+    assert magnitude_and_scale(arr) == (top, read)
+    assert _read_and_rule(arr, bound) == want
     assert np.array_equal(arr, np.array(values, dtype=np.float64).reshape(shape))  # its input is left alone
