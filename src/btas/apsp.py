@@ -45,8 +45,7 @@ from .matrix import (
     _saturation_limit,
     matmul,
 )
-from .semiring import (SINGLE_EXACT_LIMIT, SemiringKind, _note_saturation, magnitude_and_scale,
-                       max_finite_magnitude, single_scale)
+from .semiring import SINGLE_EXACT_LIMIT, SemiringKind, _note_saturation, magnitude_and_scale, single_scale
 
 
 class Algorithm(Enum):
@@ -244,9 +243,14 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
     diagonal is never below the closure base's in magnitude; where only the
     diagonal trips it, the masking pass runs and masks nothing.
     """
-    n = _require_square_minplus(adj)
+    _require_square_minplus(adj)
+    return _floyd_warshall(adj, *magnitude_and_scale(adj.data, adj.integer))
+
+
+def _floyd_warshall(adj: TropicalMatrix, top: float, s: "int | None") -> ApspReport:
+    """floyd_warshall on a checked adj, given (top, s), its one read of adj.data."""
+    n = adj.n_rows
     b = max(1, min(n, _TASK_BYTES // (16 * n)))
-    top, s = magnitude_and_scale(adj.data, adj.integer)
     screen = 2.0 * (n + 1) * top
     s = single_scale(screen, s)
     limit = _saturation_limit(math.inf, adj.integer)  # every bound reaches the limit itself
@@ -332,11 +336,12 @@ def find_apsp_violation(adj: TropicalMatrix, result: DistanceMatrix) -> "str | N
     n = _require_square_minplus(adj)
     if result.dist.shape != adj.shape:
         raise DimensionMismatch(f"result shape {result.dist.shape} does not match adjacency {adj.shape}")
-    reference = floyd_warshall(adj)
+    top, s = magnitude_and_scale(adj.data, adj.integer)  # one read serves FW and the tolerance
+    reference = _floyd_warshall(adj, top, s)
     if reference.negative_cycle:
         return "the input has a negative cycle, so no distance matrix is valid"
     d, want = result.dist.data, reference.distances.dist.data
-    tolerance = 0.0 if adj.integer else n * n * 2.0**-50 * max_finite_magnitude(adj.data)
+    tolerance = 0.0 if adj.integer else n * n * 2.0**-50 * top
     wrong = ~np.isclose(d, want, rtol=0.0, atol=tolerance)  # infinities match only themselves
     if not wrong.any():
         return None

@@ -16,6 +16,7 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from time import perf_counter
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,34 +45,40 @@ class BenchAlgorithm(Enum):
 
 @dataclass(frozen=True, slots=True)
 class BenchRecord:
-    """One measured cell of the sweep.
+    """One measured cell of the sweep: what was measured, with every
+    statistic derived from wall_times.
 
     result_digest is a sha256 of the computed matrix bytes; identical
     digests across reruns prove the instances (not the timings) match.
-    A failed record keeps the sweep position but holds no times.
+    A failed record keeps the sweep position, holds no times and says why
+    in note.
     """
+
+    prng_family: ClassVar[str] = RANDOM_FAMILY
 
     algorithm: BenchAlgorithm
     n: int
     worker_count: int
     seed: int
-    repetitions: int
     wall_times: "tuple[float, ...]"
-    median_seconds: float
-    result_digest: str
-    prng_family: str = RANDOM_FAMILY
-    failed: bool = False
+    result_digest: str = ""
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.repetitions != len(self.wall_times):
-            raise ValueError("repetitions must equal the number of wall times")
-        if self.wall_times:
-            expected = statistics.median(self.wall_times)
-            if self.median_seconds != expected:
-                raise ValueError(f"median_seconds {self.median_seconds!r} is not the median {expected!r}")
-        elif not self.failed:
-            raise ValueError("a successful record needs at least one wall time")
+        if not self.wall_times and not self.note:
+            raise ValueError("a record without wall times needs a note saying why")
+
+    @property
+    def failed(self) -> bool:
+        return not self.wall_times
+
+    @property
+    def repetitions(self) -> int:
+        return len(self.wall_times)
+
+    @property
+    def median_seconds(self) -> float:
+        return statistics.median(self.wall_times) if self.wall_times else math.nan
 
     @property
     def min_seconds(self) -> float:
@@ -80,49 +87,6 @@ class BenchRecord:
     @property
     def max_seconds(self) -> float:
         return max(self.wall_times) if self.wall_times else math.nan
-
-    @classmethod
-    def from_times(
-        cls,
-        algorithm: BenchAlgorithm,
-        n: int,
-        worker_count: int,
-        seed: int,
-        wall_times: "list[float]",
-        result_digest: str,
-    ) -> "BenchRecord":
-        return cls(
-            algorithm=algorithm,
-            n=n,
-            worker_count=worker_count,
-            seed=seed,
-            repetitions=len(wall_times),
-            wall_times=tuple(wall_times),
-            median_seconds=statistics.median(wall_times),
-            result_digest=result_digest,
-        )
-
-    @classmethod
-    def from_failure(
-        cls,
-        algorithm: BenchAlgorithm,
-        n: int,
-        worker_count: int,
-        seed: int,
-        note: str,
-    ) -> "BenchRecord":
-        return cls(
-            algorithm=algorithm,
-            n=n,
-            worker_count=worker_count,
-            seed=seed,
-            repetitions=0,
-            wall_times=(),
-            median_seconds=math.nan,
-            result_digest="",
-            failed=True,
-            note=note,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,15 +157,10 @@ def run_benchmark(config: BenchConfig) -> "list[BenchRecord]":
                         runner()
                         times.append(perf_counter() - start)
                 except MemoryError as exc:
-                    records.append(
-                        BenchRecord.from_failure(
-                            algorithm, n, worker_count, config.seed, f"out of memory: {exc}"
-                        )
-                    )
+                    note = f"out of memory: {exc}"
+                    records.append(BenchRecord(algorithm, n, worker_count, config.seed, (), note=note))
                     continue
-                records.append(
-                    BenchRecord.from_times(algorithm, n, worker_count, config.seed, times, digest)
-                )
+                records.append(BenchRecord(algorithm, n, worker_count, config.seed, tuple(times), digest))
     return records
 
 

@@ -334,8 +334,10 @@ def graph_to_matrix(g: Graph) -> TropicalMatrix:
     arr = np.full((g.n, g.n), math.inf)
     arr[g.src, g.dst] = g.weight  # Graph holds each (src, dst) pair once
     np.fill_diagonal(arr, np.minimum(np.diagonal(arr), 0.0))  # a self-loop counts only below 0
-    # Graph weights are finite with no -0.0, so arr already meets the weight rule: adopt it without a copy
-    return TropicalMatrix._wrap(SemiringKind.MIN_PLUS, arr, exact_integers(arr))
+    # Graph weights are finite with no -0.0, so arr already meets the weight rule: adopt it without a copy.
+    # Its other finite entries are zeros, and a self-loop of weight ≥ 0 lands as 0: only when a weight fails
+    # can arr still be integral, so only then is arr read.
+    return TropicalMatrix._wrap(SemiringKind.MIN_PLUS, arr, exact_integers(g.weight) or exact_integers(arr))
 
 
 def matrix_to_graph(m: TropicalMatrix) -> Graph:

@@ -198,10 +198,11 @@ class _TropicalArray:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
+        # uint64 items are equal exactly when their bits are, and memoryview compares them in place
         return (
             self.kind is other.kind
             and self.data.shape == other.data.shape
-            and self.data.tobytes() == other.data.tobytes()
+            and memoryview(self.data.view(np.uint64)) == memoryview(other.data.view(np.uint64))
         )
 
 

@@ -10,6 +10,7 @@ additive identity is Infinity, the multiplicative identity is 0.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,8 +81,8 @@ def weights_ok(values: np.ndarray, finite: bool = False) -> bool:
     return bool((np.isfinite(values) if finite else values > -math.inf).all())
 
 
-#: max_finite_magnitude, exact_integers and magnitude_and_scale read their input in
-#: leading-axis blocks of about this many entries.
+#: exact_integers and magnitude_and_scale read their input in leading-axis
+#: blocks of about this many entries.
 _MAGNITUDE_BLOCK = 1 << 14
 
 
@@ -97,11 +98,6 @@ def _finite_magnitudes(values: np.ndarray):
         magnitudes = np.abs(block, out=buf[: len(block)])
         magnitudes[magnitudes == math.inf] = 0.0  # about twice as fast as a max with where=np.isfinite(values)
         yield magnitudes
-
-
-def max_finite_magnitude(values: np.ndarray) -> float:
-    """max |v| over the finite entries, 0.0 when there are none."""
-    return max((float(m.max(initial=0.0)) for m in _finite_magnitudes(values)), default=0.0)
 
 
 def _multiples(m: np.ndarray, s: int) -> bool:
@@ -162,22 +158,20 @@ def format_weights(values: "list[float]", integer: bool) -> "list[str]":
 INFINITY = TropicalWeight(math.inf)
 ZERO = TropicalWeight(0.0)
 
-_saturated = False
+_saturation = threading.local()  # each thread sees only its own products
 
 
 def saturation_seen() -> bool:
-    """True if any ⊗ since the last reset overflowed and saturated to Infinity."""
-    return _saturated
+    """True if any ⊗ on this thread since its last reset saturated to Infinity."""
+    return getattr(_saturation, "seen", False)
 
 
 def reset_saturation() -> None:
-    global _saturated
-    _saturated = False
+    _saturation.seen = False
 
 
 def _note_saturation() -> None:
-    global _saturated
-    _saturated = True
+    _saturation.seen = True
 
 
 def as_weight(x: "TropicalWeight | float | int") -> TropicalWeight:
@@ -207,7 +201,7 @@ def tmul(kind: SemiringKind, x: "TropicalWeight | float | int", y: "TropicalWeig
     """Tropical product: ordinary addition, with Infinity absorbing.
 
     A finite sum that overflows the double range saturates to Infinity and
-    raises the module saturation flag instead of producing ±inf silently.
+    raises this thread's saturation flag instead of producing ±inf silently.
     """
     xw, yw = as_weight(x), as_weight(y)
     if xw.is_infinite or yw.is_infinite:

@@ -621,6 +621,25 @@ def test_each_operand_is_read_once(monkeypatch):
         assert [id(values) for values in reads] == [id(a.data)] + ([id(b.data)] if b is not a else [])
 
 
+def test_verify_reads_its_input_once(monkeypatch):
+    """Floyd-Warshall's read of adj also gives the float tolerance's magnitude."""
+    adj = graph_to_matrix(random_graph(64, 0.5, (0.1, 10.7), 7))
+    result = apsp_by_squaring(adj).distances
+    reads = []
+    finite_magnitudes = semiring._finite_magnitudes
+
+    def reading(values):
+        reads.append(values)
+        return finite_magnitudes(values)
+
+    monkeypatch.setattr(semiring, "_finite_magnitudes", reading)
+    for _ in range(2):
+        reads.clear()
+        assert find_apsp_violation(adj, result) is None
+        assert len(reads) == 1 and reads[0] is adj.data
+    assert not adj.integer
+
+
 def _relaxed_dtypes(monkeypatch, adj):
     """The dtype of each matrix floyd_warshall(adj) hands to _relax_all, in order."""
     dtypes = []

@@ -1,7 +1,10 @@
 import io
 import math
+import statistics
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from btas.bench import (
     CSV_HEADER,
@@ -32,51 +35,38 @@ def test_bench_tiles_are_row_strips():
 
 
 def test_record_invariants_enforced():
+    """The one rule a record keeps: no wall times needs a note saying why."""
     with pytest.raises(ValueError):
-        BenchRecord(
-            algorithm=BenchAlgorithm.FLOYD_WARSHALL,
-            n=4,
-            worker_count=1,
-            seed=1,
-            repetitions=3,
-            wall_times=(0.1, 0.2),
-            median_seconds=0.15,
-            result_digest="d",
-        )
+        BenchRecord(BenchAlgorithm.FLOYD_WARSHALL, 4, 1, 1, ())
     with pytest.raises(ValueError):
-        BenchRecord(
-            algorithm=BenchAlgorithm.FLOYD_WARSHALL,
-            n=4,
-            worker_count=1,
-            seed=1,
-            repetitions=2,
-            wall_times=(0.1, 0.2),
-            median_seconds=0.5,
-            result_digest="d",
-        )
-    with pytest.raises(ValueError):
-        BenchRecord(
-            algorithm=BenchAlgorithm.FLOYD_WARSHALL,
-            n=4,
-            worker_count=1,
-            seed=1,
-            repetitions=0,
-            wall_times=(),
-            median_seconds=math.nan,
-            result_digest="",
-        )
+        BenchRecord(BenchAlgorithm.FLOYD_WARSHALL, 4, 1, 1, (), "digest")
+    assert BenchRecord(BenchAlgorithm.FLOYD_WARSHALL, 4, 1, 1, (), note="oom").failed
 
 
 def test_record_constructors():
-    r = BenchRecord.from_times(BenchAlgorithm.MATMUL_ONLY, 8, 2, 7, [3.0, 1.0, 2.0], "abc")
+    r = BenchRecord(BenchAlgorithm.MATMUL_ONLY, 8, 2, 7, (3.0, 1.0, 2.0), "abc")
     assert r.median_seconds == 2.0
     assert r.min_seconds == 1.0
     assert r.max_seconds == 3.0
     assert r.repetitions == 3
-    assert r.prng_family == RANDOM_FAMILY
-    failed = BenchRecord.from_failure(BenchAlgorithm.MATMUL_ONLY, 8, 2, 7, "oom")
-    assert failed.failed and failed.repetitions == 0
+    assert not r.failed
+    assert r.prng_family == BenchRecord.prng_family == RANDOM_FAMILY
+    failed = BenchRecord(BenchAlgorithm.MATMUL_ONLY, 8, 2, 7, (), note="oom")
+    assert failed.failed and failed.repetitions == 0 and failed.result_digest == ""
     assert math.isnan(failed.median_seconds)
+    assert math.isnan(failed.min_seconds) and math.isnan(failed.max_seconds)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=9))
+def test_record_statistics_match_wall_times(times):
+    record = BenchRecord(BenchAlgorithm.FLOYD_WARSHALL, 4, 1, 1, tuple(times), note="" if times else "oom")
+    assert record.failed == (not times)
+    assert record.repetitions == len(times)
+    if times:
+        assert record.median_seconds == statistics.median(times)
+        assert (record.min_seconds, record.max_seconds) == (min(times), max(times))
+    else:
+        assert all(math.isnan(v) for v in (record.median_seconds, record.min_seconds, record.max_seconds))
 
 
 def test_config_validation():
@@ -142,7 +132,7 @@ def test_run_benchmark_shapes_and_determinism():
 
 
 def test_emit_csv_single_record():
-    record = BenchRecord.from_times(BenchAlgorithm.MATMUL_ONLY, 8, 1, 7, [3.0, 1.0, 2.0], "abc")
+    record = BenchRecord(BenchAlgorithm.MATMUL_ONLY, 8, 1, 7, (3.0, 1.0, 2.0), "abc")
     buffer = io.StringIO()
     assert emit_csv([record], buffer) == 1
     lines = buffer.getvalue().splitlines()
@@ -153,10 +143,10 @@ def test_emit_csv_single_record():
 
 def test_emit_csv_sorts_rows():
     rows = [
-        BenchRecord.from_times(BenchAlgorithm.REPEATED_SQUARING, 16, 1, 7, [0.2], "a"),
-        BenchRecord.from_times(BenchAlgorithm.FLOYD_WARSHALL, 16, 1, 7, [0.1], "b"),
-        BenchRecord.from_times(BenchAlgorithm.FLOYD_WARSHALL, 4, 2, 7, [0.1], "c"),
-        BenchRecord.from_times(BenchAlgorithm.FLOYD_WARSHALL, 4, 1, 7, [0.1], "d"),
+        BenchRecord(BenchAlgorithm.REPEATED_SQUARING, 16, 1, 7, (0.2,), "a"),
+        BenchRecord(BenchAlgorithm.FLOYD_WARSHALL, 16, 1, 7, (0.1,), "b"),
+        BenchRecord(BenchAlgorithm.FLOYD_WARSHALL, 4, 2, 7, (0.1,), "c"),
+        BenchRecord(BenchAlgorithm.FLOYD_WARSHALL, 4, 1, 7, (0.1,), "d"),
     ]
     buffer = io.StringIO()
     assert emit_csv(rows, buffer) == 4
@@ -187,8 +177,8 @@ def test_emit_csv_round_trips_numeric_fields():
 
 
 def test_emit_csv_skips_failed_records():
-    ok = BenchRecord.from_times(BenchAlgorithm.FLOYD_WARSHALL, 4, 1, 7, [0.1], "x")
-    broken = BenchRecord.from_failure(BenchAlgorithm.FLOYD_WARSHALL, 8, 1, 7, "oom")
+    ok = BenchRecord(BenchAlgorithm.FLOYD_WARSHALL, 4, 1, 7, (0.1,), "x")
+    broken = BenchRecord(BenchAlgorithm.FLOYD_WARSHALL, 8, 1, 7, (), note="oom")
     buffer = io.StringIO()
     assert emit_csv([broken, ok], buffer) == 1
     assert len(buffer.getvalue().splitlines()) == 2

@@ -26,7 +26,7 @@ from btas.graph_io import (
     random_graph,
 )
 from btas.matrix import TropicalMatrix
-from btas.semiring import SemiringKind, TropicalWeight, parse_weight
+from btas.semiring import SemiringKind, TropicalWeight, exact_integers, parse_weight
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -189,6 +189,26 @@ def test_graph_to_matrix_empty_and_negative_loop():
     assert graph_to_matrix(Graph(2, ())).to_lists() == [[0, INF], [INF, 0]]
     loop = graph_to_matrix(Graph(1, ((0, 0, -1.0),)))
     assert loop.to_lists() == [[-1]]
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (3, ((0, 0, -2.0), (1, 1, -0.5), (0, 1, 3.0))),
+        (3, ((2, 2, -7.0), (1, 2, 4.0))),
+        (1, ()),
+        (4, ()),
+        (2, ((0, 1, 2.0**53 - 1), (1, 0, -(2.0**53 - 1)))),
+        (2, ((0, 1, 2.0**53), (1, 0, 1.0))),
+        (2, ((0, 1, 2.5), (1, 0, 1.0))),
+        (2, ((0, 1, 1.0), (1, 1, 0.25))),  # a self-loop of weight ≥ 0 lands as 0
+        (2, ((0, 0, 2.0**60), (0, 1, 3.0))),
+        (2, ((0, 0, -0.25), (0, 1, 3.0))),
+    ],
+)
+def test_graph_to_matrix_integer_mode_is_that_of_its_entries(n, edges):
+    m = graph_to_matrix(Graph(n, edges))
+    assert m.integer is exact_integers(m.data)
 
 
 def test_matrix_graph_round_trip():

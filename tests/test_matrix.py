@@ -357,6 +357,32 @@ def test_shared_dense_core(cls, values, infinite_at, wrong_rank, empty, twin_cls
             copied.kind = MIN
 
 
+def test_equality_compares_the_bits_in_place():
+    n = 512
+    a = TropicalMatrix(MIN, np.random.default_rng(3).integers(0, 100, (n, n)).astype(float))
+    b = TropicalMatrix._wrap(MIN, a.data.copy(), a.integer)
+    tracemalloc.start()
+    try:
+        equal = a == b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert equal
+    assert peak < 0.1 * n * n * 8, f"peak {peak / (n * n * 8):.3f} n^2 float64"
+    # bytewise, not numeric: -0.0 and 0.0 differ
+    assert TropicalMatrix._wrap(MIN, np.array([[-0.0]]), True) != TropicalMatrix._wrap(MIN, np.array([[0.0]]), True)
+    # strided data: a transposed view, matvec's column of a product and every other entry of a vector
+    grid = [[1.0, INF, 3.0], [4.0, 5.0, -6.0]]
+    assert TropicalMatrix._wrap(MIN, np.array(grid).T, False) == TropicalMatrix(MIN, [list(c) for c in zip(*grid)])
+    square = TropicalMatrix(MIN, [[0.0, 2.0, INF], [1.0, 0.0, 4.0], [INF, 3.0, 0.0]])
+    product = matvec(square, TropicalVector(MIN, [0.0, 5.0, 1.0]))
+    assert product == TropicalVector(MIN, [0.0, 1.0, 1.0])
+    assert product != TropicalVector(MIN, [0.0, 1.0, 2.0])
+    every_other = TropicalVector._wrap(MIN, np.array([0.0, 9.0, 1.0, 9.0, 1.0])[::2], True)
+    assert every_other.data.strides == (16,)
+    assert every_other == product and product == every_other
+
+
 def test_negative_zero_is_normalized():
     a = TropicalMatrix(MIN, [[-0.0]])
     b = TropicalMatrix(MIN, [[0.0]])
@@ -414,6 +440,37 @@ def test_small_products_do_not_flag_saturation():
     a = TropicalMatrix(MIN, [[1, INF], [2, 0]])
     matmul(a, a)
     assert not saturation_seen()
+
+
+def test_each_thread_sees_its_own_saturation():
+    """One thread saturates; then another resets and runs a clean product.
+    The first still sees its saturation, and the second sees none."""
+    big = TropicalMatrix(MIN, [[2.0**52]])
+    clean = TropicalMatrix(MIN, [[1, INF], [2, 0]])
+    saturated, reset = threading.Barrier(2, timeout=30), threading.Barrier(2, timeout=30)
+    seen = {}
+
+    def saturating():
+        reset_saturation()
+        matmul(big, big)
+        saturated.wait()
+        reset.wait()
+        seen["saturating"] = saturation_seen()
+
+    def resetting():
+        saturated.wait()
+        reset_saturation()
+        matmul(clean, clean)
+        seen["resetting"] = saturation_seen()
+        reset.wait()
+
+    threads = [threading.Thread(target=saturating), threading.Thread(target=resetting)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert seen == {"saturating": True, "resetting": False}
 
 
 def test_tile_spec_validation_and_default():

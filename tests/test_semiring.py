@@ -17,7 +17,6 @@ from btas.semiring import (
     additive_identity,
     format_weight,
     magnitude_and_scale,
-    max_finite_magnitude,
     multiplicative_identity,
     parse_weight,
     reset_saturation,
@@ -177,7 +176,7 @@ def test_absorption_does_not_flag_saturation():
     st.integers(min_value=1, max_value=7),
     st.data(),
 )
-def test_max_finite_magnitude_in_blocks_matches_the_whole_array(shape, block, data):
+def test_magnitude_in_blocks_matches_the_whole_array(shape, block, data):
     size = math.prod(shape)
     values = data.draw(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from([math.inf, -math.inf])),
                                 min_size=size, max_size=size))
@@ -186,18 +185,18 @@ def test_max_finite_magnitude_in_blocks_matches_the_whole_array(shape, block, da
     want = float(finite.max()) if finite.size else 0.0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(semiring, "_MAGNITUDE_BLOCK", block)
-        assert max_finite_magnitude(arr) == want
-    assert max_finite_magnitude(arr) == want
+        assert magnitude_and_scale(arr)[0] == want
+    assert magnitude_and_scale(arr)[0] == want
 
 
-def test_max_finite_magnitude_peak_memory_is_a_fraction_of_its_input():
+def test_magnitude_read_peak_memory_is_a_fraction_of_its_input():
     n = 1024
     values = np.random.default_rng(5).uniform(-100.0, 100.0, size=(n, n))
     values[::7] = math.inf
     want = np.abs(values[np.isfinite(values)]).max()
     tracemalloc.start()
     try:
-        got = max_finite_magnitude(values)
+        got, _ = magnitude_and_scale(values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,7 +207,8 @@ def test_max_finite_magnitude_peak_memory_is_a_fraction_of_its_input():
 def _read_and_rule(values, bound):
     """single_scale over magnitude_and_scale's s for values, after checking its magnitude."""
     top, s = magnitude_and_scale(values)
-    assert top == max_finite_magnitude(values)
+    finite = np.abs(values[np.isfinite(values)])
+    assert top == (finite.max() if finite.size else 0.0)
     return single_scale(bound, s)
 
 
@@ -251,11 +251,11 @@ def test_dyadic_scale_in_blocks_matches_exact_fractions(shape, block, data):
     scaled = st.builds(lambda k, s: k * 2.0**-s, st.integers(-(2**20), 2**20), st.integers(0, 4))
     values = data.draw(st.lists(st.one_of(scaled, st.floats(-1e6, 1e6), st.just(math.inf)),
                                 min_size=size, max_size=size))
-    bound = data.draw(st.sampled_from([2.0 * max_finite_magnitude(np.array(values or [0.0])), 2.0**20, 2.0**24]))
+    top = max((abs(v) for v in values if math.isfinite(v)), default=0.0)
+    bound = data.draw(st.sampled_from([2.0 * top, 2.0**20, 2.0**24]))
     arr = np.array(values, dtype=np.float64).reshape(shape)
     # every finite double is k/2^s for one least s: the denominator of its exact fraction
     s = max((Fraction(v).denominator.bit_length() - 1 for v in values if math.isfinite(v)), default=0)
-    top = max((abs(v) for v in values if math.isfinite(v)), default=0.0)
     want = s if s <= SINGLE_MAX_SCALE and Fraction(bound) * 2**s < 2**24 else None
     read = s if s <= SINGLE_MAX_SCALE and Fraction(top) * 2**s < 2**24 else None
     with pytest.MonkeyPatch.context() as patch:

@@ -89,3 +89,39 @@ def test_bench_snapshot_float64_sweep_runs_the_float64_fw_pass(monkeypatch, caps
     rows = capsys.readouterr().out.splitlines()[1:]
     assert rows and all(row.startswith("fw,16,") for row in rows)
     assert dtypes and set(dtypes) == {"float64"}
+
+
+FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import math  # a comment after code counts as code
+
+
+def area(r):
+    """One-line docstring."""
+    # a comment-only line
+
+    text = """a string that is
+not a docstring"""
+    return math.pi * r * r, text
+
+
+class Shape:
+    """Class docstring."""
+
+    sides = 0
+'''
+
+
+def test_code_lines_counts_each_module_and_the_sums(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "shapes.py").write_text(FIXTURE, encoding="utf-8")
+    (package / "empty.py").write_text("# only a comment\n\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(package)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    # code: the import, the def, both lines of text = """...""", the return, the class and sides = 0
+    assert rows == [["module", "lines", "code"], ["empty.py", "2", "0"], ["shapes.py", "19", "7"],
+                    ["total", "21", "7"]]
