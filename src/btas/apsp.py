@@ -14,6 +14,11 @@ negative-cycle flag included, if it applies the rounds to each row in
 order 0..n-1 and hands each row a snapshot of row k taken at the start of
 round k.
 
+A strip runs through its rounds in the C loop of fw_relax.c, which is
+compiled with `cc -O3 -fPIC -shared` on first use, cached per user and
+loaded with ctypes.  Where no C compiler builds it, or the cache cannot be
+written, the same rounds run in numpy, silently and on the same bits.
+
 Floyd-Warshall climbs a ladder of passes.  An unmasked pass in a dtype
 runs only while the overflow screen 2(n+1)·max|w| stays under that
 dtype's exact limit L, and is dropped within 16 rounds once an entry is
@@ -27,9 +32,16 @@ as entries only decrease it leaves one at or below -L.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import subprocess
+import tempfile
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -115,6 +127,7 @@ def _closure_base(adj: TropicalMatrix, out: np.ndarray) -> np.ndarray:
 #: An unmasked pass reads its rows for the floor after every round k with
 #: k+1 a multiple of this: one read of the rows against about four per
 #: round, so a pass that will be dropped stops within this many rounds.
+#: fw_relax.c's FLOOR_ROUNDS is the same number.
 _FLOOR_ROUNDS = 16
 
 
@@ -122,17 +135,84 @@ class _BelowFloor(Exception):
     """An unmasked pass left an entry at or below its floor, where a sum may have reached its limit."""
 
 
-def _relax(rows: np.ndarray, pivots: np.ndarray, k0: int, cand: np.ndarray,
+_RELAX_SOURCE = Path(__file__).with_name("fw_relax.c")
+_CC = "cc"
+_NOT_LOADED = object()
+_relax_kernels: "dict | None | object" = _NOT_LOADED
+_relax_lock = threading.Lock()
+
+
+def _load_relax() -> "dict[str, ctypes._CFuncPtr] | None":
+    """fw_relax.c's loops by dtype char, built into the user's cache unless
+    they are there already; None when they cannot be built or loaded.
+
+    The library is $XDG_CACHE_HOME/btas (or ~/.cache/btas) /fw_relax-KEY.so,
+    KEY from the sha256 of the source and of `cc --version`.  It is compiled
+    under a temporary name and renamed into place, so a process that races
+    this one loads a whole file or builds its own.
+    """
+    try:
+        source = _RELAX_SOURCE.read_bytes()
+        version = subprocess.run([_CC, "--version"], capture_output=True, check=True).stdout
+        key = hashlib.sha256(hashlib.sha256(source).digest() + version).hexdigest()[:16]
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "btas"
+        library = cache / f"fw_relax-{key}.so"
+        if not library.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, built = tempfile.mkstemp(".so", ".fw_relax-", cache)
+            os.close(fd)
+            try:
+                subprocess.run([_CC, "-O3", "-fPIC", "-shared", "-o", built, str(_RELAX_SOURCE)],
+                               capture_output=True, check=True)
+                os.replace(built, library)
+            finally:
+                if os.path.exists(built):
+                    os.unlink(built)
+        loaded = ctypes.CDLL(str(library))
+    except (OSError, RuntimeError, subprocess.SubprocessError):  # RuntimeError: no home directory
+        return None
+    kernels = {"f": loaded.btas_relax_f32, "d": loaded.btas_relax_f64}
+    for kernel in kernels.values():
+        kernel.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 4 + [ctypes.c_double] * 2
+        kernel.restype = ctypes.c_int
+    return kernels
+
+
+def _compiled_relax() -> "dict[str, ctypes._CFuncPtr] | None":
+    """_load_relax's result, from its first call in this process."""
+    global _relax_kernels
+    if _relax_kernels is _NOT_LOADED:
+        with _relax_lock:
+            if _relax_kernels is _NOT_LOADED:
+                _relax_kernels = _load_relax()
+    return _relax_kernels
+
+
+def _relax(rows: np.ndarray, pivots: np.ndarray, k0: int, cand: "np.ndarray | None",
            limit: "float | None", snapshot: "np.ndarray | None" = None,
            floor: "float | None" = None) -> bool:
     """Run rows through rounds k0 .. k0+len(pivots)-1, in order; report saturation.
 
-    pivots[j] must read as row k0+j at the start of round k0+j: either the
-    rows themselves (the panel) or snapshots of them.  snapshot, when given,
+    pivots[j] must read as row k0+j at the start of round k0+j: either a
+    row of rows (the panel) or a snapshot of it.  snapshot, when given,
     receives that row as its round starts, for the strips that follow.
     With a floor, raise _BelowFloor once a check every _FLOOR_ROUNDS rounds
-    finds an entry at or below it.
+    finds an entry at or below it.  cand is the numpy loop's candidate
+    buffer; without one, fw_relax.c's loop runs, on the same bits.
     """
+    if cand is None:
+        n = rows.shape[1]
+        arrays = (rows, pivots) if snapshot is None else (rows, pivots, snapshot)
+        if not (all(a.flags.c_contiguous and a.dtype == rows.dtype and a.shape[1:] == (n,) for a in arrays)
+                and (snapshot is None or snapshot.shape == pivots.shape)):
+            raise ValueError("the compiled loop takes C-contiguous rows of one length and dtype")
+        status = _compiled_relax()[rows.dtype.char](
+            rows.ctypes.data, pivots.ctypes.data, None if snapshot is None else snapshot.ctypes.data,
+            len(rows), len(pivots), n, k0,
+            math.nan if limit is None else limit, math.nan if floor is None else floor)
+        if status < 0:
+            raise _BelowFloor
+        return bool(status)
     c = cand[: rows.size].reshape(rows.shape)
     saturated = False
     for j, pivot in enumerate(pivots):
@@ -163,10 +243,12 @@ def _relax_all(d: np.ndarray, b: int, limit: "float | None", floor: "float | Non
     run through the rounds in K, and row k is copied as round k starts.
     Then every other row, in strips of b, runs through the rounds in K
     against those snapshots.  A floor is handed to each _relax, and read
-    once more after the last round.
+    once more after the last round.  The numpy loop's candidate buffer is
+    taken only where fw_relax.c is not compiled.
     """
     n = len(d)
-    cand = _aligned_empty(b * n, d.dtype)  # a misaligned cand made each k-round 20-30% slower
+    # a misaligned cand made each k-round 20-30% slower
+    cand = None if _compiled_relax() else _aligned_empty(b * n, d.dtype)
     snap = _aligned_empty(b * n, d.dtype).reshape(b, n) if b < n else None
     saturated = False
     with np.errstate(over="ignore", invalid="ignore"):
@@ -222,11 +304,12 @@ def floyd_warshall(adj: TropicalMatrix) -> ApspReport:
     The rounds run in blocks of b and the rows in strips of b (_relax_all).
     Each row sees its rounds in order and row k as round k found it, which
     by the module docstring's argument keeps every bit of the k-outermost
-    loop.  A strip and its candidate buffer each get half of matmul's
-    per-task byte budget, so the pair stays in cache as n grows; when
+    loop.  A strip gets half of matmul's per-task byte budget, as does the
+    numpy loop's candidate buffer, so both stay in cache as n grows; when
     b = n there is one block, no snapshot, and the loop is the plain
-    k-outermost one.  No threads and no matmul, so it stays an independent
-    check on the squaring route.
+    k-outermost one.  Each strip runs in fw_relax.c's compiled loop, or in
+    numpy where that cannot be built (module docstring).  No threads and
+    no matmul, so it stays an independent check on the squaring route.
 
     Saturation: a finite+finite sum whose magnitude reaches the limit (2^53
     in integer mode, overflow in float mode) becomes Infinity, as in

@@ -74,8 +74,8 @@ class SentinelConvention(Enum):
 class Graph:
     """Directed graph on n vertices, held as three read-only columns: `src`,
     `dst` (int64) and finite `weight` (float64), sorted by (src, dst) with
-    each pair once at its minimum weight and -0.0 read as 0.0, so equal
-    graphs compare equal.
+    each pair once at its minimum weight, -0.0 read as 0.0 and no self-loop
+    of weight ≥ 0 (it never shortens a path), so equal graphs compare equal.
 
     Graph(n, edges) takes (src, dst, weight) triples or an (m, 3) array and
     is where an edge table is checked: integer vertices in 0..n-1 and finite
@@ -100,8 +100,12 @@ class Graph:
         self._normalize(n, src, dst, weight)
 
     def _normalize(self, n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> None:
-        """Set the fields from edge columns: sorted by (src, dst), each pair
-        once at its minimum weight, -0.0 read as 0.0.  The inputs are not written."""
+        """Set the fields from edge columns: self-loops of weight ≥ 0 dropped,
+        sorted by (src, dst), each pair once at its minimum weight, -0.0 read
+        as 0.0.  The inputs are not written."""
+        keep = (src != dst) | (weight < 0.0)
+        if not keep.all():  # copying only then keeps 24 B per edge off the reader's peak
+            src, dst, weight = src[keep], dst[keep], weight[keep]
         key = src * n  # orders pairs by (src, dst); n <= _MAX_VERTICES keeps it in int64
         key += dst
         order = np.argsort(key)
@@ -297,12 +301,8 @@ def _read_edges(body: "list[tuple[int, str]]", n: int, m: int, header_no: int) -
 
 
 def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> Graph:
-    """The Graph of these edge columns without their non-negative self-loops.
-    The columns must hold vertices in 0..n-1 and finite weights: they are
-    normalized, not checked."""
-    keep = (src != dst) | (weight < 0.0)
-    if not keep.all():  # copying only then keeps 24 B per edge off the reader's peak
-        src, dst, weight = src[keep], dst[keep], weight[keep]
+    """The Graph of these edge columns.  They must hold vertices in 0..n-1
+    and finite weights: they are normalized, not checked."""
     g = object.__new__(Graph)
     g._normalize(n, src, dst, weight)
     return g
@@ -333,11 +333,10 @@ def graph_to_matrix(g: Graph) -> TropicalMatrix:
     """Min-plus adjacency matrix: diagonal 0, absent edges Infinity."""
     arr = np.full((g.n, g.n), math.inf)
     arr[g.src, g.dst] = g.weight  # Graph holds each (src, dst) pair once
-    np.fill_diagonal(arr, np.minimum(np.diagonal(arr), 0.0))  # a self-loop counts only below 0
+    np.fill_diagonal(arr, np.minimum(np.diagonal(arr), 0.0))  # Graph keeps only negative self-loops
     # Graph weights are finite with no -0.0, so arr already meets the weight rule: adopt it without a copy.
-    # Its other finite entries are zeros, and a self-loop of weight ≥ 0 lands as 0: only when a weight fails
-    # can arr still be integral, so only then is arr read.
-    return TropicalMatrix._wrap(SemiringKind.MIN_PLUS, arr, exact_integers(g.weight) or exact_integers(arr))
+    # Its other finite entries are zeros, so it is integral exactly when the weights are.
+    return TropicalMatrix._wrap(SemiringKind.MIN_PLUS, arr, exact_integers(g.weight))
 
 
 def matrix_to_graph(m: TropicalMatrix) -> Graph:

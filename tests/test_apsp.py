@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import shutil
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -78,6 +82,7 @@ ALIGNMENT_INPUTS = ((np.float32, (1, 9)), (np.float64, (0.1, 9.0)))
 
 
 def test_floyd_warshall_candidate_buffer_starts_on_a_cache_line(monkeypatch):
+    monkeypatch.setattr(apsp, "_compiled_relax", lambda: None)  # only the numpy loop takes candidates
     for dtype, weights in ALIGNMENT_INPUTS:
         adj = graph_to_matrix(random_graph(24, 0.3, weights, 5))
         assert _recorded_fw_buffers(monkeypatch, adj) == [(24 * 24, np.dtype(dtype), 0)]
@@ -492,6 +497,7 @@ def test_floyd_warshall_default_budget_blocks_match_one_block(monkeypatch):
 
 
 def test_floyd_warshall_multi_block_buffers_start_on_cache_lines(monkeypatch):
+    monkeypatch.setattr(apsp, "_compiled_relax", lambda: None)  # only the numpy loop takes candidates
     _shrink_budget(monkeypatch, 24, 5)
     for dtype, weights in ALIGNMENT_INPUTS:
         adj = graph_to_matrix(random_graph(24, 0.3, weights, 5))
@@ -711,15 +717,17 @@ def _rounds_per_pass(monkeypatch, adj):
     rounds = {}
     relax = apsp._relax
 
-    def counting(rows, pivots, k0, cand, limit, **kwargs):
+    def counting(rows, pivots, k0, cand, limit, snapshot=None, floor=None):
+        # one round per call, so either loop is seen: the floor is read
+        # after the same rounds, which are counted from k, and a pivot may
+        # be a row of rows in both
         key = (rows.dtype.name, limit is not None)
-
-        def counted():
-            for j, pivot in enumerate(pivots):
-                rounds[key] = max(rounds.get(key, 0), k0 + j + 1)
-                yield pivot
-
-        return relax(rows, counted(), k0, cand, limit, **kwargs)
+        saturated = False
+        for j in range(len(pivots)):
+            rounds[key] = max(rounds.get(key, 0), k0 + j + 1)
+            saturated |= relax(rows, pivots[j : j + 1], k0 + j, cand, limit,
+                               None if snapshot is None else snapshot[j : j + 1], floor)
+        return saturated
 
     with monkeypatch.context() as patch:
         patch.setattr(apsp, "_relax", counting)
@@ -774,3 +782,207 @@ def test_floyd_warshall_fallback_peak_memory_in_eight_row_blocks(monkeypatch):
     reset_saturation()
     bound = 1.25 * n * n * 8 + 2 * np.getbufsize() * 8 + 16 * 1024
     assert peak < bound, f"peak {peak / (n * n * 8):.3f} n^2 float64"
+
+
+def _use_loop(monkeypatch, loop):
+    """Make floyd_warshall run its strips in fw_relax.c's loop ("compiled",
+    where a C compiler builds it) or in numpy's."""
+    if loop == "numpy":
+        monkeypatch.setattr(apsp, "_compiled_relax", lambda: None)
+
+
+def _solved_in(monkeypatch, loop, adj):
+    """(bytes, integer mode, negative_cycle, saturation_seen()) of floyd_warshall(adj) in the named loop."""
+    with monkeypatch.context() as patch:
+        _use_loop(patch, loop)
+        reset_saturation()
+        report = floyd_warshall(adj)
+        saturated = saturation_seen()
+    reset_saturation()
+    dist = report.distances.dist
+    return dist.tobytes(), dist.integer, report.negative_cycle, saturated
+
+
+def _integers():
+    rng = random.Random(150)
+    return _with_potentials(random_instance(rng, 150, 1, 100, 0.3), rng, True)
+
+
+# each input with its (negative_cycle, saturated), so none of them passes vacuously
+BOTH_LOOPS_INPUTS = {
+    "integers": (_integers, (False, False)),
+    "quarter-integers": (lambda: Graph(150, [(u, v, w / 4) for u, v, w in _integers().edges]), (False, False)),
+    "reals": (lambda: _with_potentials(random_instance(random.Random(7), 150, 0.1, 10.7, 0.3),
+                                       random.Random(8), False), (False, False)),
+    # escapes the float32 floor, then -2^53 unmasked: the masked rung runs
+    "escaping negative cycle": (lambda: _complete_digraph(64, -1.0), (True, True)),
+    # overflows to -inf unmasked in float mode
+    "-1e300 negative cycle": (lambda: _complete_digraph(64, -1e300), (True, True)),
+    "saturating integers": (lambda: random_instance(random.Random(53), 40, 2**49, 2**50, 0.15), (False, True)),
+    "one vertex": (lambda: Graph(1, ()), (False, False)),
+}
+
+
+def test_compiled_loop_takes_only_the_snapshots(monkeypatch):
+    """fw_relax.c's loop needs no candidate buffer: one block takes no
+    buffer, several take the snapshots alone, on a cache line."""
+    if apsp._compiled_relax() is None:
+        pytest.skip("no C compiler builds fw_relax.c here")
+    for dtype, weights in ALIGNMENT_INPUTS:
+        adj = graph_to_matrix(random_graph(24, 0.3, weights, 5))
+        assert _recorded_fw_buffers(monkeypatch, adj) == []
+        with monkeypatch.context() as patch:
+            _shrink_budget(patch, 24, 5)
+            assert _recorded_fw_buffers(patch, adj) == [(5 * 24, np.dtype(dtype), 0)]
+
+
+@pytest.mark.parametrize("b", [None, 7], ids=["default-blocks", "blocks-of-7"])
+@pytest.mark.parametrize("name", sorted(BOTH_LOOPS_INPUTS))
+def test_compiled_and_numpy_loops_give_the_same_bits(monkeypatch, name, b):
+    """Same bytes, integer mode, negative-cycle flag and saturation flag from
+    fw_relax.c's loop and from numpy's, in the default blocks and in blocks
+    of 7, which divide none of these n."""
+    if apsp._compiled_relax() is None:
+        pytest.skip("no C compiler builds fw_relax.c here")
+    make, flags = BOTH_LOOPS_INPUTS[name]
+    graph = make()
+    adj = graph_to_matrix(graph)
+    if b is not None:
+        _shrink_budget(monkeypatch, graph.n, min(b, graph.n))
+    compiled = _solved_in(monkeypatch, "compiled", adj)
+    assert compiled == _solved_in(monkeypatch, "numpy", adj)
+    assert compiled[2:] == flags
+
+
+@pytest.mark.parametrize("b", [64, 8, 5])
+def test_both_loops_stop_after_the_same_round(monkeypatch, b):
+    """The all -1 graph passes -2^10 after round 9 and -2^24 after round 23:
+    each loop stops at the same floor check, so it leaves the same bytes."""
+    if apsp._compiled_relax() is None:
+        pytest.skip("no C compiler builds fw_relax.c here")
+    for floor in (-(2.0**10), -(2.0**24)):
+        stopped = []
+        for loop in ("compiled", "numpy"):
+            d = np.full((64, 64), -1.0, np.float32)
+            with monkeypatch.context() as patch:
+                _use_loop(patch, loop)
+                with pytest.raises(apsp._BelowFloor):
+                    apsp._relax_all(d, b, None, floor)
+            stopped.append(d.tobytes())
+        assert stopped[0] == stopped[1], floor
+
+
+def test_compiled_loop_refuses_arrays_it_cannot_walk():
+    """Strided rows, a second dtype, another row length or a short snapshot
+    raise before any pointer reaches the C loop."""
+    if apsp._compiled_relax() is None:
+        pytest.skip("no C compiler builds fw_relax.c here")
+    d = np.zeros((4, 8))
+    for rows, pivots, snapshot in ((d[:, ::2], d[:2, ::2], None), (d, d.astype(np.float32), None),
+                                   (d, d[:, :4].copy(), None), (d, d[:2], np.zeros((1, 8)))):
+        with pytest.raises(ValueError):
+            apsp._relax(rows, pivots, 0, None, None, snapshot)
+
+
+@pytest.fixture
+def empty_cache(monkeypatch, tmp_path):
+    """An empty $XDG_CACHE_HOME under tmp_path and nothing loaded yet; the btas cache directory in it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(apsp, "_relax_kernels", apsp._NOT_LOADED)
+    return tmp_path / "cache" / "btas"
+
+
+def _cached_files(cache):
+    return sorted(path.name for path in cache.iterdir()) if cache.exists() else []
+
+
+def _solves_like_numpy(monkeypatch, kernels):
+    """Whether floyd_warshall with these loaded loops gives the numpy loop's bytes, in several blocks."""
+    adj = graph_to_matrix(_with_potentials(random_instance(random.Random(3), 30, 1, 100, 0.3), random.Random(4), True))
+    with monkeypatch.context() as patch:
+        _shrink_budget(patch, 30, 7)
+        want = _solved_in(patch, "numpy", adj)
+        patch.setattr(apsp, "_relax_kernels", kernels)
+        return _solved_in(patch, "compiled", adj) == want
+
+
+def _failing_compiler(directory):
+    """A cc that answers --version, then writes part of its output and fails."""
+    script = directory / "failing-cc"
+    script.write_text('#!/bin/sh\n[ "$1" = --version ] && { echo "failing-cc 1.0"; exit 0; }\n'
+                      'while [ $# -gt 1 ]; do [ "$1" = -o ] && echo partial > "$2"; shift; done\nexit 1\n')
+    script.chmod(0o755)
+    return script
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_relax_build_falls_back_to_numpy_and_leaves_no_file(monkeypatch, tmp_path, empty_cache, compiler):
+    adj = graph_to_matrix(random_instance(random.Random(9), 40, -3, 40, 0.2))
+    want = _solved_in(monkeypatch, "numpy", adj)
+    cc = tmp_path / "no-such-cc" if compiler == "missing" else _failing_compiler(tmp_path)
+    monkeypatch.setattr(apsp, "_CC", str(cc))
+    assert apsp._compiled_relax() is None
+    assert _solved_in(monkeypatch, "compiled", adj) == want  # the numpy loop ran
+    assert _cached_files(empty_cache) == []
+
+
+def test_relax_build_falls_back_where_the_cache_is_not_writable(monkeypatch, tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))  # no directory can be made under a file
+    monkeypatch.setattr(apsp, "_relax_kernels", apsp._NOT_LOADED)
+    assert apsp._compiled_relax() is None
+
+
+def test_relax_build_is_cached_and_keyed_by_its_source(monkeypatch, tmp_path, empty_cache):
+    if shutil.which(apsp._CC) is None:
+        pytest.skip("no C compiler here")
+    first = apsp._load_relax()
+    assert first is not None and _solves_like_numpy(monkeypatch, first)
+    built = _cached_files(empty_cache)
+    assert len(built) == 1 and built[0].startswith("fw_relax-") and built[0].endswith(".so")
+    stamp = os.stat(empty_cache / built[0]).st_mtime_ns
+    assert apsp._load_relax() is not None
+    assert _cached_files(empty_cache) == built and os.stat(empty_cache / built[0]).st_mtime_ns == stamp
+
+    edited = tmp_path / "fw_relax.c"
+    edited.write_text(apsp._RELAX_SOURCE.read_text() + "/* edited */\n")
+    monkeypatch.setattr(apsp, "_RELAX_SOURCE", edited)
+    second = apsp._load_relax()
+    assert second is not None and _solves_like_numpy(monkeypatch, second)
+    rebuilt = _cached_files(empty_cache)
+    assert len(rebuilt) == 2 and set(built) < set(rebuilt)
+
+
+@pytest.mark.parametrize("entry", ["_compiled_relax", "_load_relax"])
+def test_threads_racing_the_first_build_all_get_a_working_loop(monkeypatch, empty_cache, entry):
+    """More threads than CPUs race the first use.  Through _compiled_relax
+    the lock lets one thread build and all get its loops; through
+    _load_relax, as in separate processes, each builds and renames a whole
+    library into place."""
+    if shutil.which(apsp._CC) is None:
+        pytest.skip("no C compiler here")
+    count = 4
+    start = threading.Barrier(count)
+    loaded = []
+
+    def first_use():
+        start.wait()
+        loaded.append(getattr(apsp, entry)())
+
+    threads = [threading.Thread(target=first_use) for _ in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(loaded) == count
+    for kernels in loaded:
+        assert kernels is not None and _solves_like_numpy(monkeypatch, kernels)
+    if entry == "_compiled_relax":
+        assert all(kernels is loaded[0] for kernels in loaded)
+    assert len(_cached_files(empty_cache)) == 1  # one library, no temporary left behind

@@ -152,7 +152,8 @@ def test_graph_normalizes_like_the_per_edge_loop(case):
         weight = 0.0 if weight == 0.0 else weight
         if (src, dst) not in best or weight < best[(src, dst)]:
             best[(src, dst)] = weight
-    want = tuple((src, dst, best[(src, dst)]) for src, dst in sorted(best))
+    # a self-loop stays only at a negative weight
+    want = tuple((src, dst, best[(src, dst)]) for src, dst in sorted(best) if src != dst or best[(src, dst)] < 0.0)
     assert repr(Graph(n, triples).edges) == repr(want)  # repr tells -0.0 from 0.0
 
 
@@ -214,6 +215,17 @@ def test_graph_to_matrix_integer_mode_is_that_of_its_entries(n, edges):
 def test_matrix_graph_round_trip():
     g = Graph(4, ((0, 1, 1.0), (1, 2, 2.0), (3, 3, -5.0), (2, 0, 7.0)))
     assert matrix_to_graph(graph_to_matrix(g)) == g
+
+
+def test_graph_drops_self_loops_of_weight_at_least_zero():
+    """As every reader and matrix_to_graph do, so both round trips hold."""
+    g = Graph(2, [(1, 1, 0.25), (0, 1, 1.0)])
+    assert g == Graph(2, [(0, 1, 1.0)])
+    assert Graph(2, [(0, 0, 0.0), (1, 1, -0.0), (1, 0, 2.0)]).edges == ((1, 0, 2.0),)
+    assert Graph(2, [(0, 0, -0.5), (1, 1, 3.0)]).edges == ((0, 0, -0.5),)
+    assert parse_edge_list(edge_list_to_text(g)) == g
+    assert matrix_to_graph(graph_to_matrix(g)) == g
+    assert graph_to_matrix(g).integer
 
 
 def test_matrix_graph_round_trip_on_a_dense_random_graph():

@@ -125,3 +125,34 @@ def test_code_lines_counts_each_module_and_the_sums(tmp_path):
     # code: the import, the def, both lines of text = """...""", the return, the class and sides = 0
     assert rows == [["module", "lines", "code"], ["empty.py", "2", "0"], ["shapes.py", "19", "7"],
                     ["total", "21", "7"]]
+
+
+C_FIXTURE = r"""/* a block comment
+   over two lines */
+#include <string.h>
+
+#define TWICE(x) \
+    /* a comment inside a macro */ \
+                                   \
+    ((x) + (x))
+
+// a line comment
+static const char *s = "/* not a comment */"; // a comment after code
+static const char q = '"';
+int f(void) { /* a comment */ return 1; }
+/* a comment */ int g(void) { return 2; }
+"""
+
+
+def test_code_lines_counts_c_sources(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "kernel.c").write_text(C_FIXTURE, encoding="utf-8")
+    (package / "mod.py").write_text("x = 1\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(package)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    # code: the include, the define, ((x) + (x)), s, q, f and g
+    assert rows == [["module", "lines", "code"], ["kernel.c", "14", "7"], ["mod.py", "1", "1"],
+                    ["total", "15", "8"]]

@@ -3,7 +3,9 @@
 A code line holds at least one token outside comments and docstrings, so
 blank, comment-only and docstring lines are left out.  A docstring is the
 leading string of a module, class or function, as ast.get_docstring finds
-it.
+it.  The package's C sources (*.c) count too: there a code line holds a
+character that is neither blank nor part of a /* */ or // comment, and
+is not only the backslash that continues a macro.
 
 Usage: python tools/code_lines.py [DIR]   (DIR defaults to src/btas)
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import io
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -36,12 +39,25 @@ def count_lines(source: str) -> "tuple[int, int]":
     return len(source.splitlines()), len(code - docstrings)
 
 
+# a C comment, or a string or character literal, which may hold "/*" or "//"
+_C_SKIPPED = re.compile(r'/\*.*?\*/|//[^\n]*|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'', re.DOTALL)
+
+
+def count_c_lines(source: str) -> "tuple[int, int]":
+    """(total lines, code lines) of one C source."""
+    # comments become blanks that keep their newlines; literals are code
+    code = _C_SKIPPED.sub(lambda m: re.sub(r"[^\n]", " ", m[0]) if m[0][0] == "/" else m[0], source)
+    # a lone backslash only splices a macro's lines
+    return len(source.splitlines()), sum(1 for line in code.splitlines() if line.strip() not in ("", "\\"))
+
+
 def main(argv: "list[str]") -> int:
     package = Path(argv[0]) if argv else ROOT / "src" / "btas"
     totals = [0, 0]
     print(f"{'module':<24} {'lines':>6} {'code':>6}")
-    for path in sorted(package.glob("*.py")):
-        lines, code = count_lines(path.read_text(encoding="utf-8"))
+    for path in sorted([*package.glob("*.py"), *package.glob("*.c")]):
+        counter = count_c_lines if path.suffix == ".c" else count_lines
+        lines, code = counter(path.read_text(encoding="utf-8"))
         totals[0] += lines
         totals[1] += code
         print(f"{path.name:<24} {lines:>6} {code:>6}")
