@@ -14,10 +14,9 @@ negative-cycle flag included, if it applies the rounds to each row in
 order 0..n-1 and hands each row a snapshot of row k taken at the start of
 round k.
 
-A strip runs through its rounds in the C loop of fw_relax.c, which is
-compiled with `cc -O3 -fPIC -shared` on first use, cached per user and
-loaded with ctypes.  Where no C compiler builds it, or the cache cannot be
-written, the same rounds run in numpy, silently and on the same bits.
+A strip runs through its rounds in the C loop of fw_relax.c, part of the
+package's compiled library (btas._compiled).  Where that library is not
+built, the same rounds run in numpy, silently and on the same bits.
 
 Floyd-Warshall climbs a ladder of passes.  An unmasked pass in a dtype
 runs only while the overflow screen 2(n+1)·max|w| stays under that
@@ -33,18 +32,13 @@ as entries only decrease it leaves one at or below -L.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
-import os
-import subprocess
-import tempfile
-import threading
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
+from . import _compiled
 from .matrix import (
     DimensionMismatch,
     SemiringMismatch,
@@ -135,57 +129,10 @@ class _BelowFloor(Exception):
     """An unmasked pass left an entry at or below its floor, where a sum may have reached its limit."""
 
 
-_RELAX_SOURCE = Path(__file__).with_name("fw_relax.c")
-_CC = "cc"
-_NOT_LOADED = object()
-_relax_kernels: "dict | None | object" = _NOT_LOADED
-_relax_lock = threading.Lock()
-
-
-def _load_relax() -> "dict[str, ctypes._CFuncPtr] | None":
-    """fw_relax.c's loops by dtype char, built into the user's cache unless
-    they are there already; None when they cannot be built or loaded.
-
-    The library is $XDG_CACHE_HOME/btas (or ~/.cache/btas) /fw_relax-KEY.so,
-    KEY from the sha256 of the source and of `cc --version`.  It is compiled
-    under a temporary name and renamed into place, so a process that races
-    this one loads a whole file or builds its own.
-    """
-    try:
-        source = _RELAX_SOURCE.read_bytes()
-        version = subprocess.run([_CC, "--version"], capture_output=True, check=True).stdout
-        key = hashlib.sha256(hashlib.sha256(source).digest() + version).hexdigest()[:16]
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "btas"
-        library = cache / f"fw_relax-{key}.so"
-        if not library.exists():
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, built = tempfile.mkstemp(".so", ".fw_relax-", cache)
-            os.close(fd)
-            try:
-                subprocess.run([_CC, "-O3", "-fPIC", "-shared", "-o", built, str(_RELAX_SOURCE)],
-                               capture_output=True, check=True)
-                os.replace(built, library)
-            finally:
-                if os.path.exists(built):
-                    os.unlink(built)
-        loaded = ctypes.CDLL(str(library))
-    except (OSError, RuntimeError, subprocess.SubprocessError):  # RuntimeError: no home directory
-        return None
-    kernels = {"f": loaded.btas_relax_f32, "d": loaded.btas_relax_f64}
-    for kernel in kernels.values():
-        kernel.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 4 + [ctypes.c_double] * 2
-        kernel.restype = ctypes.c_int
-    return kernels
-
-
 def _compiled_relax() -> "dict[str, ctypes._CFuncPtr] | None":
-    """_load_relax's result, from its first call in this process."""
-    global _relax_kernels
-    if _relax_kernels is _NOT_LOADED:
-        with _relax_lock:
-            if _relax_kernels is _NOT_LOADED:
-                _relax_kernels = _load_relax()
-    return _relax_kernels
+    """fw_relax.c's loops by dtype char, or None where the compiled library is not built."""
+    library = _compiled.library()
+    return None if library is None else {"f": library.btas_relax_f32, "d": library.btas_relax_f64}
 
 
 def _relax(rows: np.ndarray, pivots: np.ndarray, k0: int, cand: "np.ndarray | None",

@@ -1,6 +1,6 @@
 /* Floyd-Warshall's rounds on one strip of rows: the compiled body of
- * btas.apsp._relax, which builds this file with `cc -O3 -fPIC -shared` on
- * first use and calls it through ctypes.  It gives the bits of the numpy
+ * btas.apsp._relax, built with write_table.c into one library
+ * (btas._compiled) and called through ctypes.  It gives the bits of the numpy
  * loop, so its arithmetic is one IEEE add and one compare per entry:
  * no -ffast-math, which would let the compiler change both.
  *

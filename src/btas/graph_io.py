@@ -19,10 +19,17 @@ The readers first try numpy's C tokenizer on the text after the header and
 check its result with array operations; when that path refuses the text,
 a per-line reader reads it again, and only that reader refuses input and
 names the bad line, so neither results nor messages depend on the path.
+
+The writers format each distinct value of a row block once when at most
+half the block's entries are distinct.  In the package's compiled library
+(btas._compiled) write_table.c finds those values and writes the rows;
+where that library is not built np.unique finds them and Python joins the
+rows, on the same bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
 import os
@@ -34,6 +41,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _compiled
 from .matrix import _TASK_BYTES, TropicalMatrix
 from .semiring import INT_EXACT_LIMIT, SemiringKind, exact_integers, format_weights, read_weight, weights_ok
 
@@ -308,24 +316,70 @@ def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) ->
     return g
 
 
-def _format_block(block: np.ndarray, integer: bool) -> "Iterable[list[str]]":
-    """format_weights on each row of a 2-D block, as one token list per row.
+def _compiled_writer() -> "ctypes.CDLL | None":
+    """The compiled library, for write_table.c's functions, or None where it is not built."""
+    return _compiled.library()
 
-    When at most half the entries are distinct, each distinct value is
-    formatted once and the rows are gathered from that table; otherwise the
-    rows are formatted one by one, since the table would only cost time.
-    """
-    if 2 * np.unique(block).size > block.size:  # counted by hash table, at a fraction of the inverse's cost
+
+def _distinct(block: np.ndarray, library: "ctypes.CDLL | None") -> "tuple[np.ndarray, np.ndarray] | None":
+    """(the distinct values, an inverse of block's shape indexing them) when at
+    most half of block's entries are distinct, else None.  The library's pass
+    takes the values in order of first appearance, np.unique's in sorted order."""
+    if library is None:
+        if 2 * np.unique(block).size > block.size:  # counted by hash table, at a fraction of the inverse's cost
+            return None
+        distinct, inverse = np.unique(block, return_inverse=True)
+        return distinct, inverse.reshape(block.shape)
+    flat = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)  # the pass reads plain float64 bits
+    inverse = np.empty(flat.size, np.int32)
+    first = np.empty(flat.size // 2 + 1, np.int64)
+    count = library.btas_distinct(flat.ctypes.data, flat.size, inverse.ctypes.data, first.ctypes.data)
+    return None if count < 0 else (flat[first[:count]], inverse.reshape(block.shape))
+
+
+def _token_rows(block: np.ndarray, integer: bool, table: "tuple[np.ndarray, np.ndarray] | None"
+                ) -> "Iterable[list[str]]":
+    """format_weights on each row of a 2-D block, as one token list per row:
+    gathered from table, block's _distinct, or row by row when it is None."""
+    if table is None:
         return (format_weights(row.tolist(), integer) for row in block)
-    distinct, inverse = np.unique(block, return_inverse=True)
-    table = np.array(format_weights(distinct.tolist(), integer), dtype=object)
-    return table[inverse.reshape(block.shape)].tolist()
+    distinct, inverse = table
+    return np.array(format_weights(distinct.tolist(), integer), dtype=object)[inverse].tolist()
+
+
+#: write_table.c copies tokens in words of this many bytes, reading and
+#: writing up to this many bytes past a token.
+_WORD = 8
+
+
+def _block_text(block: np.ndarray, integer: bool) -> str:
+    """A 2-D block's rows under format_weights, entries joined by ' ' and each
+    row ended by '\n'.  Where at most half the entries are distinct, each
+    distinct value is formatted once; with the library, write_table.c then
+    copies their tokens into the text."""
+    library = _compiled_writer()
+    table = _distinct(block, library)
+    if library is None or table is None:
+        return "\n".join([*map(" ".join, _token_rows(block, integer, table)), ""])
+    distinct, inverse = table
+    tokens = format_weights(distinct.tolist(), integer)
+    offsets = np.zeros(len(tokens) + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, tokens), np.int64, len(tokens)), out=offsets[1:])
+    text = "".join(tokens).encode("ascii") + bytes(_WORD)  # the C loop copies whole words
+    args = inverse.ctypes.data, inverse.shape[0], inverse.shape[1], text, offsets.ctypes.data
+    size = library.btas_write_rows(*args, None)
+    out = np.empty(size + _WORD, np.uint8)
+    library.btas_write_rows(*args, out.ctypes.data)
+    return str(out.data[:size], "ascii")
 
 
 def edge_list_to_text(g: Graph) -> str:
-    """Inverse of parse_edge_list on normalized graphs."""
-    (weights,) = _format_block(g.weight[None, :], exact_integers(g.weight))
-    rows = map("{} {} {}".format, g.src.tolist(), g.dst.tolist(), weights)
+    """Inverse of parse_edge_list on normalized graphs.  The weight column is
+    one block of _block_text's rule, each distinct weight formatted once
+    when at most half of them are distinct."""
+    weights = g.weight[None, :]
+    (tokens,) = _token_rows(weights, exact_integers(g.weight), _distinct(weights, _compiled_writer()))
+    rows = map("{} {} {}".format, g.src.tolist(), g.dst.tolist(), tokens)
     return "\n".join([f"{g.n} {g.edge_count}", *rows]) + "\n"
 
 
@@ -356,18 +410,20 @@ def matrix_to_graph(m: TropicalMatrix) -> Graph:
 def matrix_to_text(m: TropicalMatrix) -> str:
     """Native matrix format; integer mode prints weights without a point.
 
-    The rows are formatted in blocks of about _TASK_BYTES of float64.  In a
-    block where at most half the entries are distinct, a distance matrix's
-    usual case, each distinct value is formatted once; a block of mostly
-    distinct values is formatted row by row.  The bytes are those of
-    formatting every entry on its own: entries hold no NaN and no -0.0, so
-    np.unique merges only values with the same bits, which print alike.
+    The rows are written in blocks of about _TASK_BYTES of float64
+    (_block_text).  In a block where at most half the entries are distinct,
+    a distance matrix's usual case, each distinct value is formatted once
+    and, in the compiled library, write_table.c finds them and writes the
+    rows; a block of mostly distinct values is formatted row by row.  The
+    bytes are those of formatting every entry on its own: entries hold no
+    NaN and no -0.0, so entries merged into one distinct value have the
+    same bits and print alike.
     """
-    lines = [f"{m.n_rows} {m.n_cols} {m.kind.value}"]
+    blocks = [f"{m.n_rows} {m.n_cols} {m.kind.value}\n"]
     step = max(1, _TASK_BYTES // (8 * m.n_cols))
     for r0 in range(0, m.n_rows, step):
-        lines += map(" ".join, _format_block(m.data[r0 : r0 + step], m.integer))
-    return "\n".join(lines) + "\n"
+        blocks.append(_block_text(m.data[r0 : r0 + step], m.integer))
+    return "".join(blocks)
 
 
 def _parse_native_matrix(text: str, header_no: int, header_line: str, body_start: int) -> TropicalMatrix:

@@ -87,21 +87,27 @@ _MAGNITUDE_BLOCK = 1 << 14
 
 
 def _finite_magnitudes(values: np.ndarray):
-    """|v| for each leading-axis block of values, infinities as 0.0.  Every
-    block is written into one buffer of about _MAGNITUDE_BLOCK entries, so
+    """(|v|, the largest finite |v| or 0.0) for each leading-axis block of
+    values; infinities stay inf, which _multiples accepts.  Every block is
+    written into one pair of buffers of about _MAGNITUDE_BLOCK entries, so
     each must be used before the next is asked for; a fresh array per block
     would hold two blocks at once while the next one is taken."""
     step = max(1, _MAGNITUDE_BLOCK // max(1, values[:1].size))  # rows per block
-    buf = np.empty((min(step, len(values)),) + values.shape[1:])
+    buf = np.empty((2, min(step, len(values))) + values.shape[1:])
     for r0 in range(0, len(values), step):
         block = values[r0 : r0 + step]
-        magnitudes = np.abs(block, out=buf[: len(block)])
-        magnitudes[magnitudes == math.inf] = 0.0  # about twice as fast as a max with where=np.isfinite(values)
-        yield magnitudes
+        magnitudes = np.abs(block, out=buf[0, : len(block)])
+        # |v| + (|v| - |v|) is |v|, or NaN for an infinity, which fmax skips: far
+        # quicker on half-infinite data than a masked store of zeros
+        finite = buf[1, : len(block)]
+        with np.errstate(invalid="ignore"):
+            np.subtract(magnitudes, magnitudes, out=finite)
+        finite += magnitudes
+        yield magnitudes, float(np.fmax.reduce(finite, axis=None, initial=0.0))
 
 
 def _multiples(m: np.ndarray, s: int) -> bool:
-    """Whether every entry of m is a multiple of 2^-s (scaling by 2^s is exact)."""
+    """Whether every entry of m is a multiple of 2^-s (scaling by 2^s is exact); an infinity is one."""
     scaled = np.ldexp(m, s) if s else m
     return bool((np.trunc(scaled) == scaled).all())
 
@@ -109,7 +115,7 @@ def _multiples(m: np.ndarray, s: int) -> bool:
 def exact_integers(values: np.ndarray) -> bool:
     """True iff every finite entry is integral and below INT_EXACT_LIMIT in magnitude;
     |v| is integral exactly when v is, so one block of magnitudes serves both tests."""
-    return all(m.max(initial=0.0) < INT_EXACT_LIMIT and _multiples(m, 0) for m in _finite_magnitudes(values))
+    return all(top < INT_EXACT_LIMIT and _multiples(m, 0) for m, top in _finite_magnitudes(values))
 
 
 #: float32's 24-bit significand holds every multiple of 2^-s below 2^(24-s) in
@@ -128,8 +134,8 @@ def magnitude_and_scale(values: np.ndarray, integer: bool = False) -> "tuple[flo
     mode.  A block not integral at the running s is tested once at the
     largest s the running magnitude allows, and if it fails there s is None."""
     top, s = 0.0, 0
-    for m in _finite_magnitudes(values):
-        top = max(top, float(m.max(initial=0.0)))
+    for m, block_top in _finite_magnitudes(values):
+        top = max(top, block_top)
         ceiling = min(SINGLE_MAX_SCALE, 24 - math.frexp(top)[1])  # the largest s with top·2^s < 2^24
         if s is not None and (s > ceiling or not (integer or _multiples(m, s))):
             found = s < ceiling and _multiples(m, ceiling)  # one test settles whether any s will do

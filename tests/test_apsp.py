@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from btas import apsp, semiring
+from btas import _compiled, apsp, graph_io, semiring
 from btas.apsp import (
     Algorithm,
     DistanceMatrix,
@@ -21,7 +21,7 @@ from btas.apsp import (
     floyd_warshall,
     verify_apsp,
 )
-from btas.graph_io import Graph, graph_to_matrix, random_graph
+from btas.graph_io import Graph, graph_to_matrix, matrix_to_text, random_graph
 from btas.matrix import (
     DimensionMismatch,
     SemiringMismatch,
@@ -884,43 +884,37 @@ def test_compiled_loop_refuses_arrays_it_cannot_walk():
             apsp._relax(rows, pivots, 0, None, None, snapshot)
 
 
-@pytest.fixture
-def empty_cache(monkeypatch, tmp_path):
-    """An empty $XDG_CACHE_HOME under tmp_path and nothing loaded yet; the btas cache directory in it."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(apsp, "_relax_kernels", apsp._NOT_LOADED)
-    return tmp_path / "cache" / "btas"
-
-
 def _cached_files(cache):
-    return sorted(path.name for path in cache.iterdir()) if cache.exists() else []
+    return sorted(path.name for path in cache.glob("*"))
 
 
-def _solves_like_numpy(monkeypatch, kernels):
-    """Whether floyd_warshall with these loaded loops gives the numpy loop's bytes, in several blocks."""
+def _solves_like_numpy(monkeypatch, library):
+    """Whether floyd_warshall with this loaded library gives the numpy loop's bytes, in several blocks."""
     adj = graph_to_matrix(_with_potentials(random_instance(random.Random(3), 30, 1, 100, 0.3), random.Random(4), True))
     with monkeypatch.context() as patch:
         _shrink_budget(patch, 30, 7)
         want = _solved_in(patch, "numpy", adj)
-        patch.setattr(apsp, "_relax_kernels", kernels)
+        patch.setattr(_compiled, "_library", library)
         return _solved_in(patch, "compiled", adj) == want
 
 
-def _failing_compiler(directory):
-    """A cc that answers --version, then writes part of its output and fails."""
-    script = directory / "failing-cc"
-    script.write_text('#!/bin/sh\n[ "$1" = --version ] && { echo "failing-cc 1.0"; exit 0; }\n'
-                      'while [ $# -gt 1 ]; do [ "$1" = -o ] && echo partial > "$2"; shift; done\nexit 1\n')
-    script.chmod(0o755)
-    return script
+def _works_like_numpy(monkeypatch, library):
+    """Whether this loaded library solves and writes like the numpy loops."""
+    dist = floyd_warshall(graph_to_matrix(random_graph(40, 0.3, (1, 9), 2))).distances.dist
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_io, "_compiled_writer", lambda: None)
+        want = matrix_to_text(dist)
+        patch.setattr(graph_io, "_compiled_writer", lambda: library)
+        written = matrix_to_text(dist)
+    return library is not None and _solves_like_numpy(monkeypatch, library) and written == want
 
 
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
-def test_relax_build_falls_back_to_numpy_and_leaves_no_file(monkeypatch, tmp_path, empty_cache, compiler):
+def test_relax_build_falls_back_to_numpy_and_leaves_no_file(monkeypatch, tmp_path, empty_cache, failing_cc, compiler):
     adj = graph_to_matrix(random_instance(random.Random(9), 40, -3, 40, 0.2))
     want = _solved_in(monkeypatch, "numpy", adj)
-    cc = tmp_path / "no-such-cc" if compiler == "missing" else _failing_compiler(tmp_path)
-    monkeypatch.setattr(apsp, "_CC", str(cc))
+    cc = tmp_path / "no-such-cc" if compiler == "missing" else failing_cc
+    monkeypatch.setattr(_compiled, "_CC", str(cc))
     assert apsp._compiled_relax() is None
     assert _solved_in(monkeypatch, "compiled", adj) == want  # the numpy loop ran
     assert _cached_files(empty_cache) == []
@@ -930,37 +924,44 @@ def test_relax_build_falls_back_where_the_cache_is_not_writable(monkeypatch, tmp
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))  # no directory can be made under a file
-    monkeypatch.setattr(apsp, "_relax_kernels", apsp._NOT_LOADED)
+    monkeypatch.setattr(_compiled, "_library", _compiled._NOT_LOADED)
     assert apsp._compiled_relax() is None
 
 
 def test_relax_build_is_cached_and_keyed_by_its_source(monkeypatch, tmp_path, empty_cache):
-    if shutil.which(apsp._CC) is None:
+    """One library from every C source; a change to either source or to the
+    flags builds another, which works as the first did."""
+    if shutil.which(_compiled._CC) is None:
         pytest.skip("no C compiler here")
-    first = apsp._load_relax()
-    assert first is not None and _solves_like_numpy(monkeypatch, first)
+    first = _compiled._load()
+    assert _works_like_numpy(monkeypatch, first)
     built = _cached_files(empty_cache)
-    assert len(built) == 1 and built[0].startswith("fw_relax-") and built[0].endswith(".so")
+    assert len(built) == 1 and built[0].startswith("btas-") and built[0].endswith(".so")
     stamp = os.stat(empty_cache / built[0]).st_mtime_ns
-    assert apsp._load_relax() is not None
+    assert _compiled._load() is not None
     assert _cached_files(empty_cache) == built and os.stat(empty_cache / built[0]).st_mtime_ns == stamp
 
-    edited = tmp_path / "fw_relax.c"
-    edited.write_text(apsp._RELAX_SOURCE.read_text() + "/* edited */\n")
-    monkeypatch.setattr(apsp, "_RELAX_SOURCE", edited)
-    second = apsp._load_relax()
-    assert second is not None and _solves_like_numpy(monkeypatch, second)
+    for index in range(len(_compiled._SOURCES)):  # fw_relax.c, then write_table.c
+        edited = tmp_path / _compiled._SOURCES[index].name
+        edited.write_text(_compiled._SOURCES[index].read_text() + "/* edited */\n")
+        monkeypatch.setattr(_compiled, "_SOURCES", (*_compiled._SOURCES[:index], edited,
+                                                    *_compiled._SOURCES[index + 1 :]))
+        assert _works_like_numpy(monkeypatch, _compiled._load())
+        rebuilt = _cached_files(empty_cache)
+        assert len(rebuilt) == len(built) + 1 and set(built) < set(rebuilt)
+        built = rebuilt
+    monkeypatch.setattr(_compiled, "_FLAGS", (*_compiled._FLAGS, "-g"))
+    assert _works_like_numpy(monkeypatch, _compiled._load())
     rebuilt = _cached_files(empty_cache)
-    assert len(rebuilt) == 2 and set(built) < set(rebuilt)
+    assert len(rebuilt) == len(built) + 1 and set(built) < set(rebuilt)
 
 
-@pytest.mark.parametrize("entry", ["_compiled_relax", "_load_relax"])
+@pytest.mark.parametrize("entry", ["library", "_load"])
 def test_threads_racing_the_first_build_all_get_a_working_loop(monkeypatch, empty_cache, entry):
-    """More threads than CPUs race the first use.  Through _compiled_relax
-    the lock lets one thread build and all get its loops; through
-    _load_relax, as in separate processes, each builds and renames a whole
-    library into place."""
-    if shutil.which(apsp._CC) is None:
+    """More threads than CPUs race the first use.  Through library the lock
+    lets one thread build and all get its library; through _load, as in
+    separate processes, each builds and renames a whole library into place."""
+    if shutil.which(_compiled._CC) is None:
         pytest.skip("no C compiler here")
     count = 4
     start = threading.Barrier(count)
@@ -968,7 +969,7 @@ def test_threads_racing_the_first_build_all_get_a_working_loop(monkeypatch, empt
 
     def first_use():
         start.wait()
-        loaded.append(getattr(apsp, entry)())
+        loaded.append(getattr(_compiled, entry)())
 
     threads = [threading.Thread(target=first_use) for _ in range(count)]
     interval = sys.getswitchinterval()
@@ -981,8 +982,8 @@ def test_threads_racing_the_first_build_all_get_a_working_loop(monkeypatch, empt
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and len(loaded) == count
-    for kernels in loaded:
-        assert kernels is not None and _solves_like_numpy(monkeypatch, kernels)
-    if entry == "_compiled_relax":
-        assert all(kernels is loaded[0] for kernels in loaded)
+    for library in loaded:
+        assert _works_like_numpy(monkeypatch, library)
+    if entry == "library":
+        assert all(library is loaded[0] for library in loaded)
     assert len(_cached_files(empty_cache)) == 1  # one library, no temporary left behind

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from btas import graph_io
+from btas import _compiled, graph_io
 from btas.apsp import floyd_warshall
 from btas.graph_io import (
     RANDOM_FAMILY,
@@ -712,6 +712,46 @@ def written_graphs(draw):
 @given(written_graphs())
 def test_edge_list_to_text_matches_the_per_entry_writer(g):
     assert edge_list_to_text(g) == oracles.edge_list_to_text_reference(g.n, g.edges)
+
+
+def _written_by_numpy(m, g):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_io, "_compiled_writer", lambda: None)
+        return matrix_to_text(m), edge_list_to_text(g)
+
+
+@pytest.mark.parametrize("failure", ["missing", "failing", "unwritable"])
+def test_writer_build_falls_back_to_numpy_and_leaves_no_file(monkeypatch, tmp_path, empty_cache, failing_cc, failure):
+    """No cc, a cc that fails, or a cache that cannot be made: the writers
+    give the numpy writer's bytes, and no file is left behind."""
+    g = random_graph(40, 0.3, (1, 9), 2)
+    dist = TropicalMatrix(MIN, np.where(np.eye(40) > 0, INF, np.random.default_rng(2).integers(0, 9, (40, 40)) / 4))
+    want = _written_by_numpy(dist, g)
+    if failure == "unwritable":
+        (tmp_path / "a-file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "a-file"))  # no directory can be made under a file
+    else:
+        monkeypatch.setattr(_compiled, "_CC", str(tmp_path / "no-such-cc" if failure == "missing" else failing_cc))
+    assert graph_io._compiled_writer() is None
+    assert (matrix_to_text(dist), edge_list_to_text(g)) == want
+    left = sorted(path.name for path in tmp_path.rglob("*") if not path.is_dir())
+    assert left == (["a-file"] if failure == "unwritable" else []) + ["failing-cc"]
+
+
+def test_compiled_writer_copies_a_strided_block_before_reading_it():
+    """Every other column of a grid twice as wide flattens to a strided view,
+    not a copy: the compiled pass must get the block's values in order."""
+    library = graph_io._compiled_writer()
+    if library is None:
+        pytest.skip("no C compiler builds the compiled library here")
+    grid = np.where(np.eye(6, 8) > 0, INF, np.random.default_rng(5).integers(-1, 3, (6, 8)) / 4)
+    strided = grid[:, ::2]
+    assert strided.reshape(-1).base is not None  # the flat view that must not reach C
+    distinct, inverse = graph_io._distinct(strided, library)
+    assert (distinct[inverse] == strided).all()
+    m = TropicalMatrix._wrap(MIN, strided, False)
+    assert matrix_to_text(m) == oracles.matrix_to_text_reference(MIN.value, strided.tolist(), False)
+    assert matrix_to_text(m) == _written_by_numpy(m, Graph(1, ()))[0]
 
 
 def _traced_peak(call, *args):
