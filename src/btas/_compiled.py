@@ -1,8 +1,9 @@
 """The package's compiled library: every C source of btas, built into one
 shared library on first use, cached per user and loaded with ctypes.
 
-The sources are fw_relax.c (Floyd-Warshall's strip loop, for apsp) and
-write_table.c (the result writer's distinct-value table, for graph_io).
+The sources are fw_relax.c (Floyd-Warshall's strip loop, for apsp),
+write_table.c (the result writer's distinct-value table, for graph_io) and
+read_table.c (the readers' tokenizer and number conversion, for graph_io).
 They are compiled with `cc -O3 -fPIC -shared`: no -ffast-math, which could
 change sums, comparisons and NaN, and no -march=native, so the library runs
 on any CPU of its architecture.  The library is
@@ -25,7 +26,7 @@ import tempfile
 import threading
 from pathlib import Path
 
-_SOURCES = tuple(Path(__file__).with_name(name) for name in ("fw_relax.c", "write_table.c"))
+_SOURCES = tuple(Path(__file__).with_name(name) for name in ("fw_relax.c", "read_table.c", "write_table.c"))
 _CC = "cc"
 _FLAGS = ("-O3", "-fPIC", "-shared")
 
@@ -37,6 +38,8 @@ _PROTOTYPES = {
     "btas_distinct": (ctypes.c_long, [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]),
     "btas_write_rows": (ctypes.c_long, [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_char_p,
                                         ctypes.c_void_p, ctypes.c_void_p]),
+    "btas_read_edges": (ctypes.c_long, [ctypes.c_char_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 3),
+    "btas_read_grid": (ctypes.c_long, [ctypes.c_char_p] + [ctypes.c_long] * 4 + [ctypes.c_void_p]),
 }
 
 _NOT_LOADED = object()

@@ -13,6 +13,8 @@ ValueError into 2, each with one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import io
 import sys
 
@@ -154,7 +156,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         edge_probability=args.edge_prob,
         weight_range=_parse_weight_range(args.weights),
         seed=args.seed,
-        worker_counts=_parse_int_list(args.workers, "--workers"),
+        worker_counts=_parse_int_list(args.workers or str(available_parallelism()), "--workers"),
     )
     records = run_benchmark(config)
     for record in records:
@@ -213,9 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the scaling sweep and emit CSV")
     p_bench.add_argument("--sizes", default="4,16,32,64,128")
     p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--algorithm", default=",".join(a.value for a in BenchConfig().algorithms),
+    algorithms = next(f.default for f in dataclasses.fields(BenchConfig) if f.name == "algorithms")
+    p_bench.add_argument("--algorithm", default=",".join(a.value for a in algorithms),
                          help=f"comma list from {','.join(a.value for a in BenchAlgorithm)} or 'all'")
-    p_bench.add_argument("--workers", default=str(available_parallelism()),
+    p_bench.add_argument("--workers", default=None,
                          help="comma list of worker counts to sweep")
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--edge-prob", type=float, default=0.5)
@@ -226,9 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: its defaults depend on nothing that changes."""
+    return build_parser()
+
+
 def entrypoint(argv: "list[str] | None" = None) -> int:
     """Run one command; the only place a refusal becomes an `error:` line and an exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

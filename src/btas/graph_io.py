@@ -15,10 +15,13 @@ Legacy adjacency grids that mark "no edge" in-band (0 or -1) are read as
 bare n x n numeric grids under an explicit SentinelConvention; they refuse
 Infinity, and their sentinels are normalized to it, never guessed.
 
-The readers first try numpy's C tokenizer on the text after the header and
-check its result with array operations; when that path refuses the text,
-a per-line reader reads it again, and only that reader refuses input and
-names the bad line, so neither results nor messages depend on the path.
+The readers first try a fast path on the text after the header and check
+its result with array operations: read_table.c in the package's compiled
+library (btas._compiled), which reads a strict grammar straight into
+preallocated columns, or numpy's C tokenizer where that library is not
+built.  When the fast path refuses the text, a per-line reader reads it
+again, and only that reader refuses input and names the bad line, so
+neither results nor messages depend on the path.
 
 The writers format each distinct value of a row block once when at most
 half the block's entries are distinct.  In the package's compiled library
@@ -110,18 +113,24 @@ class Graph:
     def _normalize(self, n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> None:
         """Set the fields from edge columns: self-loops of weight ≥ 0 dropped,
         sorted by (src, dst), each pair once at its minimum weight, -0.0 read
-        as 0.0.  The inputs are not written."""
+        as 0.0.  Contiguous src and dst columns already in that order may be
+        adopted and made read-only, so callers hand over columns no one else
+        holds; weight is never written."""
         keep = (src != dst) | (weight < 0.0)
         if not keep.all():  # copying only then keeps 24 B per edge off the reader's peak
             src, dst, weight = src[keep], dst[keep], weight[keep]
         key = src * n  # orders pairs by (src, dst); n <= _MAX_VERTICES keeps it in int64
         key += dst
-        order = np.argsort(key)
-        key, weight = key[order], weight[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))  # where each pair's run starts
-        src, dst = np.divmod(key[first], n)
-        weight = np.minimum.reduceat(weight, first)
-        weight += 0.0  # turns -0.0 into 0.0
+        if (key[1:] > key[:-1]).all():  # sorted, each pair once, as every written edge list is
+            src, dst = np.ascontiguousarray(src), np.ascontiguousarray(dst)
+            weight = weight + 0.0  # turns -0.0 into 0.0
+        else:
+            order = np.argsort(key)
+            key, weight = key[order], weight[order]
+            first = np.flatnonzero(np.diff(key, prepend=-1))  # where each pair's run starts
+            src, dst = np.divmod(key[first], n)
+            weight = np.minimum.reduceat(weight, first)
+            weight += 0.0
         object.__setattr__(self, "n", n)
         for name, column in (("src", src), ("dst", dst), ("weight", weight)):
             column.flags.writeable = False
@@ -181,11 +190,14 @@ _NOT_SPLIT_ALIKE = ("#", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
 _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 
 
-def _fast_rows(body: str, dtype: object, ndmin: int) -> "np.ndarray | None":
+def _compiled_reader() -> "ctypes.CDLL | None":
+    """The compiled library, for read_table.c's functions, or None where it is not built."""
+    return _compiled.library()
+
+
+def _loadtxt(body: str, dtype: object, ndmin: int) -> "np.ndarray | None":
     """The rows of body as numpy's C tokenizer reads them, or None where it
     refuses them or might see other lines or tokens than the line readers.
-    Callers check the values and fall back to a line reader on None, so
-    that reader alone judges (and names the line of) anything refused.
     Any warning refuses too: a value numpy reads only with a warning (such
     as a deprecated conversion) is not one known to read as the line readers read it."""
     if not body or body.isspace() or not body.isascii() or any(c in body for c in _NOT_SPLIT_ALIKE):
@@ -198,12 +210,45 @@ def _fast_rows(body: str, dtype: object, ndmin: int) -> "np.ndarray | None":
             return None
 
 
-def _fast_grid(body: str, n_rows: int, n_cols: int, finite: bool) -> "np.ndarray | None":
-    """_fast_rows for an n_rows x n_cols float64 grid with no NaN or -inf
-    (no +inf either when finite), else None."""
-    grid = _fast_rows(body, np.float64, ndmin=2)
-    if grid is None or grid.shape != (n_rows, n_cols):
+def _ascii_bytes(text: str) -> "bytes | None":
+    """text as bytes, which index as text does, or None when it is not ASCII
+    (a byte read_table.c refuses anyway)."""
+    return text.encode("ascii") if text.isascii() else None
+
+
+def _fast_edges(text: str, start: int, m: int) -> "tuple[np.ndarray, ...] | None":
+    """The src, dst and weight columns of text[start:] when the fast path
+    reads exactly m rows from it, else None.  Callers check the values and
+    fall back to the line reader on None, so that reader alone judges (and
+    names the line of) anything refused."""
+    library = _compiled_reader()
+    if library is None:
+        rows = _loadtxt(text[start:], _EDGE_ROW, ndmin=1)
+        return None if rows is None or rows.size != m else (rows["src"], rows["dst"], rows["weight"])
+    data = _ascii_bytes(text)
+    if data is None or m > (len(data) - start + 1) // 6:  # a row takes at least `0 0 0` and a line end
         return None
+    columns = np.empty(m, np.int64), np.empty(m, np.int64), np.empty(m)
+    count = library.btas_read_edges(data, start, len(data), m, *(column.ctypes.data for column in columns))
+    return columns if count == m else None
+
+
+def _fast_grid(text: str, start: int, n_rows: int, n_cols: int, finite: bool) -> "np.ndarray | None":
+    """The n_rows x n_cols float64 grid in text[start:] when the fast path
+    reads one and it has no NaN or -inf (no +inf either when finite), else
+    None, as _fast_edges."""
+    library = _compiled_reader()
+    if library is None:
+        grid = _loadtxt(text[start:], np.float64, ndmin=2)
+        if grid is None or grid.shape != (n_rows, n_cols):
+            return None
+    else:
+        data = _ascii_bytes(text)
+        if data is None or n_rows * n_cols > (len(data) - start + 1) // 2:  # an entry takes a digit and a blank
+            return None
+        grid = np.empty((n_rows, n_cols))
+        if library.btas_read_grid(data, start, len(data), n_rows, n_cols, grid.ctypes.data) != n_rows:
+            return None
     return grid if weights_ok(grid, finite) else None
 
 
@@ -278,9 +323,9 @@ def parse_edge_list(text: str) -> Graph:
     if m < 0:
         raise ParseError(f"edge count cannot be negative, got {m}", header_no)
     _on_line(header_no, require_dense_fits, n)
-    rows = _fast_rows(text[body_start:], _EDGE_ROW, ndmin=1)
-    if rows is not None and rows.size == m:
-        src, dst, weight = rows["src"], rows["dst"], rows["weight"]
+    columns = _fast_edges(text, body_start, m)
+    if columns is not None:
+        src, dst, weight = columns
         if ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)).all() and weights_ok(weight, finite=True):
             return _edge_graph(n, src, dst, weight)
     return _edge_graph(n, *_read_edges(_content_lines(text)[1:], n, m, header_no))
@@ -310,7 +355,8 @@ def _read_edges(body: "list[tuple[int, str]]", n: int, m: int, header_no: int) -
 
 def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> Graph:
     """The Graph of these edge columns.  They must hold vertices in 0..n-1
-    and finite weights: they are normalized, not checked."""
+    and finite weights, and no one else may hold src and dst, which the
+    Graph may adopt: they are normalized, not checked."""
     g = object.__new__(Graph)
     g._normalize(n, src, dst, weight)
     return g
@@ -436,7 +482,7 @@ def _parse_native_matrix(text: str, header_no: int, header_line: str, body_start
         raise ParseError(f"matrix dimensions must be positive, got {n_rows}x{n_cols}", header_no)
     kind = _on_line(header_no, SemiringKind.from_token, header[2])
     _on_line(header_no, require_dense_fits, max(n_rows, n_cols))
-    grid = _fast_grid(text[body_start:], n_rows, n_cols, finite=False)
+    grid = _fast_grid(text, body_start, n_rows, n_cols, finite=False)
     if grid is None:
         body = _content_lines(text)[1:]
         if len(body) != n_rows:
@@ -450,7 +496,7 @@ def _parse_grid_matrix(
 ) -> TropicalMatrix:
     n = len(first_line.split())
     _on_line(first_no, require_dense_fits, n)
-    grid = _fast_grid(text[first_start:], n, n, finite=True)
+    grid = _fast_grid(text, first_start, n, n, finite=True)
     if grid is None:
         lines = _content_lines(text)
         if len(lines) != n:

@@ -5,6 +5,7 @@ import shutil
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -941,7 +942,7 @@ def test_relax_build_is_cached_and_keyed_by_its_source(monkeypatch, tmp_path, em
     assert _compiled._load() is not None
     assert _cached_files(empty_cache) == built and os.stat(empty_cache / built[0]).st_mtime_ns == stamp
 
-    for index in range(len(_compiled._SOURCES)):  # fw_relax.c, then write_table.c
+    for index in range(len(_compiled._SOURCES)):  # each C source in turn
         edited = tmp_path / _compiled._SOURCES[index].name
         edited.write_text(_compiled._SOURCES[index].read_text() + "/* edited */\n")
         monkeypatch.setattr(_compiled, "_SOURCES", (*_compiled._SOURCES[:index], edited,
@@ -954,6 +955,13 @@ def test_relax_build_is_cached_and_keyed_by_its_source(monkeypatch, tmp_path, em
     assert _works_like_numpy(monkeypatch, _compiled._load())
     rebuilt = _cached_files(empty_cache)
     assert len(rebuilt) == len(built) + 1 and set(built) < set(rebuilt)
+
+
+def test_the_library_is_built_from_every_c_source_of_the_package():
+    """A C file added to the package is compiled only from _SOURCES, which is also the cache key."""
+    package = Path(apsp.__file__).parent
+    assert sorted(source.name for source in _compiled._SOURCES) == sorted(path.name for path in package.glob("*.c"))
+    assert all(source.parent == package for source in _compiled._SOURCES)
 
 
 @pytest.mark.parametrize("entry", ["library", "_load"])

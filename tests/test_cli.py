@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import btas
+from btas import cli
 from btas.cli import _sniff_format, entrypoint
 from btas.graph_io import Graph, SentinelConvention, edge_list_to_text, parse_edge_list, random_graph
 
@@ -250,6 +251,23 @@ def test_bench_takes_a_negative_lower_weight_bound_after_an_equals_sign(capsys):
     assert entrypoint(argv) == 0
     header = capsys.readouterr().out.splitlines()[0]
     assert header == "algorithm,n,worker_count,repetitions,median_seconds,min_seconds,max_seconds,seed"
+
+
+def test_entrypoint_builds_its_parser_once_and_bench_defaults_to_every_core(monkeypatch, graph_file, capsys):
+    """The parser is built on the first call only, so no default may be read
+    when it is built: bench's --workers resolves to the available cores per run."""
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert entrypoint(["solve", str(graph_file), "--algorithm", "fw"]) == 0
+        monkeypatch.setattr(cli, "available_parallelism", lambda: 3)
+        assert entrypoint(["bench", "--sizes", "4", "--reps", "1", "--algorithm", "fw"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[:3] == ["fw", "4", "3"]
 
 
 def test_bench_rejects_bad_flags(capsys):

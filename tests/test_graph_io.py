@@ -125,7 +125,7 @@ def test_graph_from_an_array_equals_graph_from_triples(monkeypatch):
         patch.setattr(graph_io, "_read_edges", unreachable)
         _assert_same_columns(parse_edge_list(text), kept)
     with monkeypatch.context() as patch:
-        patch.setattr(graph_io, "_fast_rows", lambda *args, **kwargs: None)
+        patch.setattr(graph_io, "_fast_edges", lambda *args: None)
         _assert_same_columns(parse_edge_list(text), kept)
 
     grid = [[INF, -0.0, 1.5], [2.0, -4.0, INF], [-0.0, 8.0, 0.0]]
@@ -145,16 +145,21 @@ def vertex_count_and_triples(draw):
 
 
 @given(vertex_count_and_triples())
+@example((3, [(2, 1, 4.0), (0, 1, -0.0), (0, 1, 2.0), (1, 1, 0.5)]))
 def test_graph_normalizes_like_the_per_edge_loop(case):
+    """On the triples as drawn, and on their pairs once each in (src, dst)
+    order, the input on which _normalize skips its sort and merge."""
     n, triples = case
-    best = {}
-    for src, dst, weight in triples:
-        weight = 0.0 if weight == 0.0 else weight
-        if (src, dst) not in best or weight < best[(src, dst)]:
-            best[(src, dst)] = weight
-    # a self-loop stays only at a negative weight
-    want = tuple((src, dst, best[(src, dst)]) for src, dst in sorted(best) if src != dst or best[(src, dst)] < 0.0)
-    assert repr(Graph(n, triples).edges) == repr(want)  # repr tells -0.0 from 0.0
+    last = {(src, dst): weight for src, dst, weight in triples}
+    for edges in (triples, [(*pair, last[pair]) for pair in sorted(last)]):
+        best = {}
+        for src, dst, weight in edges:
+            weight = 0.0 if weight == 0.0 else weight
+            if (src, dst) not in best or weight < best[(src, dst)]:
+                best[(src, dst)] = weight
+        # a self-loop stays only at a negative weight
+        want = tuple((src, dst, best[(src, dst)]) for src, dst in sorted(best) if src != dst or best[(src, dst)] < 0.0)
+        assert repr(Graph(n, edges).edges) == repr(want)  # repr tells -0.0 from 0.0
 
 
 def test_graph_columns_are_typed_and_read_only():
@@ -629,6 +634,95 @@ def test_every_reader_holds_the_one_weight_rule(token):
         return  # nothing to hand to the constructors
     assert outcome(lambda: TropicalWeight(value).value) == want
     assert outcome(lambda: TropicalMatrix(MIN, [[value]]).to_lists()[0][0]) == want
+
+
+# ------------------------------------------------- the compiled reader's tokens
+
+
+def _reader_library():
+    library = graph_io._compiled_reader()
+    if library is None:
+        pytest.skip("no C compiler builds the compiled library here")
+    return library
+
+
+def _compiled_reals(row: bytes, cols: int) -> "np.ndarray | None":
+    """btas_read_grid on one row of cols reals: its float64 entries, or None where it refuses the row."""
+    out = np.empty(cols)
+    read = _reader_library().btas_read_grid(row, 0, len(row), 1, cols, out.ctypes.data)
+    return out if read == 1 else None
+
+
+def _compiled_ends(row: bytes) -> "tuple[int, int] | None":
+    """btas_read_edges on one `src dst weight` row: (src, dst), or None where it refuses the row."""
+    src, dst, weight = np.empty(1, np.int64), np.empty(1, np.int64), np.empty(1)
+    read = _reader_library().btas_read_edges(row, 0, len(row), 1, src.ctypes.data, dst.ctypes.data,
+                                            weight.ctypes.data)
+    return (int(src[0]), int(dst[0])) if read == 1 else None
+
+
+@st.composite
+def decimal_tokens(draw):
+    """[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? with leading zeros, 1-25 digits, any point position, exponents -340..320."""
+    digits = "0" * draw(st.integers(0, 3)) + draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    mantissa = digits if point is None else f"{digits[:point]}.{digits[point:]}"
+    exponent = draw(st.none() | st.integers(-340, 320))
+    if exponent is not None:
+        sign = draw(st.sampled_from(["", "+"])) if exponent >= 0 else "-"
+        mantissa += draw(st.sampled_from("eE")) + sign + "0" * draw(st.integers(0, 2)) + str(abs(exponent))
+    return draw(st.sampled_from(["", "+", "-"])) + mantissa
+
+
+REAL_EXAMPLES = ["4.9e-324", "2.2250738585072014e-308", "1e-400", "1e309", "0.1", "-0", "9007199254740993",
+                 "0.30000000000000004", "1.7976931348623157e308", "-.5", "5.", "+inf", "-inf", "inf"]
+
+
+@given(st.lists(decimal_tokens(), min_size=1, max_size=16))
+@example(REAL_EXAMPLES)
+def test_compiled_reals_have_the_bits_of_float(tokens):
+    got = _compiled_reals(" ".join(tokens).encode(), len(tokens))
+    assert got is not None
+    assert got.tobytes() == np.array([float(token) for token in tokens]).tobytes()
+
+
+@pytest.mark.parametrize("token", ["0", "-0", "1", "-1", "+5", "007", "-007", str(2**53 + 1), str(2**63 - 1),
+                                   f"+{2**63 - 1}", f"00{2**63 - 1}", str(-(2**63 - 1))])
+def test_compiled_integers_are_int(token):
+    assert _compiled_ends(f"{token} {token} 1\n".encode()) == (int(token), int(token))
+
+
+@pytest.mark.parametrize("token", [str(2**63), str(-(2**63)), "9" * 25, "1.0", "1e3", "", "-", "+-1", "inf"])
+def test_compiled_integers_refuse_what_is_not_an_int64(token):
+    assert _compiled_ends(f"0 {token} 1".encode()) is None
+
+
+#: Every byte of the reader's grammar: digits, signs, point, exponent and `inf`, blanks and line ends.
+GRAMMAR = set(b"0123456789+-.eEinf \t\r\n")
+#: Tokens of grammar bytes that are still not a real.
+NOT_REALS = ["nan", "Infinity", "infinity", "in", "inf5", "5inf", "1e", "e5", ".", "+", "-", "1..2", "--1",
+             "1.2.3", "1e5.5", "1e+", "1ee5", "+-1", ".e5", "1-2", "ninf", "-nf", "i"]
+
+
+@pytest.mark.parametrize("reader", FAST_READERS)
+def test_compiled_reader_refuses_every_byte_outside_its_grammar(reader, monkeypatch):
+    """Each such byte, alone or inside a token, makes the compiled reader
+    refuse the row; the file then reaches the line reader, whose outcome is
+    the oracle's."""
+    _reader_library()
+    text, read, oracle, _ = FAST_READERS[reader]
+    line_reads, line_reader = [], graph_io._content_lines
+    monkeypatch.setattr(graph_io, "_content_lines", lambda text: line_reads.append(text) or line_reader(text))
+    others = [bytes([b]) for b in range(256) if b not in GRAMMAR]
+    # alone, ending a token, starting the last one and starting the middle one
+    rows = [row % odd for odd in others for row in (b"1 2 %b", b"1 2 5%b", b"1 2 %b5", b"1 %b2 5")]
+    for row in rows + [b"1 2 " + token.encode() for token in NOT_REALS]:
+        assert _compiled_reals(row, 3) is None and _compiled_ends(row) is None, row
+        if row.isascii():
+            file = text([ROWS[0], row.decode("ascii"), ROWS[2]])
+            del line_reads[:]
+            assert read(file) == oracle(file), row
+            assert line_reads, row
 
 
 # ------------------------------------------------- writers against the per-entry oracle
