@@ -89,16 +89,16 @@ class BenchRecord:
         return max(self.wall_times) if self.wall_times else math.nan
 
 
+DEFAULT_ALGORITHMS = (BenchAlgorithm.FLOYD_WARSHALL, BenchAlgorithm.REPEATED_SQUARING)
+
+
 @dataclass(frozen=True, slots=True)
 class BenchConfig:
     """Sweep definition; defaults follow the standard size ladder."""
 
     sizes: "tuple[int, ...]" = (4, 16, 32, 64, 128)
     repetitions: int = 5
-    algorithms: "tuple[BenchAlgorithm, ...]" = (
-        BenchAlgorithm.FLOYD_WARSHALL,
-        BenchAlgorithm.REPEATED_SQUARING,
-    )
+    algorithms: "tuple[BenchAlgorithm, ...]" = DEFAULT_ALGORITHMS
     edge_probability: float = 0.5
     weight_range: "tuple[float, float]" = (1.0, 100.0)
     seed: int = 1

@@ -13,13 +13,12 @@ ValueError into 2, each with one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import sys
 
 from .apsp import Algorithm, DistanceMatrix, apsp_by_squaring, find_apsp_violation, floyd_warshall
-from .bench import BenchAlgorithm, BenchConfig, emit_csv, run_benchmark
+from .bench import DEFAULT_ALGORITHMS, BenchAlgorithm, BenchConfig, emit_csv, run_benchmark
 from .graph_io import (
     SentinelConvention,
     edge_list_to_text,
@@ -156,7 +155,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         edge_probability=args.edge_prob,
         weight_range=_parse_weight_range(args.weights),
         seed=args.seed,
-        worker_counts=_parse_int_list(args.workers or str(available_parallelism()), "--workers"),
+        worker_counts=_parse_int_list(
+            str(available_parallelism()) if args.workers is None else args.workers, "--workers"
+        ),
     )
     records = run_benchmark(config)
     for record in records:
@@ -215,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the scaling sweep and emit CSV")
     p_bench.add_argument("--sizes", default="4,16,32,64,128")
     p_bench.add_argument("--reps", type=int, default=5)
-    algorithms = next(f.default for f in dataclasses.fields(BenchConfig) if f.name == "algorithms")
-    p_bench.add_argument("--algorithm", default=",".join(a.value for a in algorithms),
+    p_bench.add_argument("--algorithm", default=",".join(a.value for a in DEFAULT_ALGORITHMS),
                          help=f"comma list from {','.join(a.value for a in BenchAlgorithm)} or 'all'")
     p_bench.add_argument("--workers", default=None,
                          help="comma list of worker counts to sweep")

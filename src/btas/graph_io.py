@@ -113,24 +113,18 @@ class Graph:
     def _normalize(self, n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> None:
         """Set the fields from edge columns: self-loops of weight ≥ 0 dropped,
         sorted by (src, dst), each pair once at its minimum weight, -0.0 read
-        as 0.0.  Contiguous src and dst columns already in that order may be
-        adopted and made read-only, so callers hand over columns no one else
-        holds; weight is never written."""
+        as 0.0.  The inputs are not written."""
         keep = (src != dst) | (weight < 0.0)
         if not keep.all():  # copying only then keeps 24 B per edge off the reader's peak
             src, dst, weight = src[keep], dst[keep], weight[keep]
         key = src * n  # orders pairs by (src, dst); n <= _MAX_VERTICES keeps it in int64
         key += dst
-        if (key[1:] > key[:-1]).all():  # sorted, each pair once, as every written edge list is
-            src, dst = np.ascontiguousarray(src), np.ascontiguousarray(dst)
-            weight = weight + 0.0  # turns -0.0 into 0.0
-        else:
-            order = np.argsort(key)
-            key, weight = key[order], weight[order]
-            first = np.flatnonzero(np.diff(key, prepend=-1))  # where each pair's run starts
-            src, dst = np.divmod(key[first], n)
-            weight = np.minimum.reduceat(weight, first)
-            weight += 0.0
+        order = np.argsort(key)
+        key, weight = key[order], weight[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))  # where each pair's run starts
+        src, dst = np.divmod(key[first], n)
+        weight = np.minimum.reduceat(weight, first)
+        weight += 0.0  # turns -0.0 into 0.0
         object.__setattr__(self, "n", n)
         for name, column in (("src", src), ("dst", dst), ("weight", weight)):
             column.flags.writeable = False
@@ -210,10 +204,11 @@ def _loadtxt(body: str, dtype: object, ndmin: int) -> "np.ndarray | None":
             return None
 
 
-def _ascii_bytes(text: str) -> "bytes | None":
-    """text as bytes, which index as text does, or None when it is not ASCII
-    (a byte read_table.c refuses anyway)."""
-    return text.encode("ascii") if text.isascii() else None
+def _ascii_bytes(text: str) -> bytes:
+    """text as bytes that index as text does: each non-ASCII character
+    becomes one `?`, a byte read_table.c refuses, so a non-ASCII header or
+    comment before the body refuses nothing."""
+    return text.encode("ascii", "replace")
 
 
 def _fast_edges(text: str, start: int, m: int) -> "tuple[np.ndarray, ...] | None":
@@ -226,7 +221,7 @@ def _fast_edges(text: str, start: int, m: int) -> "tuple[np.ndarray, ...] | None
         rows = _loadtxt(text[start:], _EDGE_ROW, ndmin=1)
         return None if rows is None or rows.size != m else (rows["src"], rows["dst"], rows["weight"])
     data = _ascii_bytes(text)
-    if data is None or m > (len(data) - start + 1) // 6:  # a row takes at least `0 0 0` and a line end
+    if m > (len(data) - start + 1) // 6:  # a row takes at least `0 0 0` and a line end
         return None
     columns = np.empty(m, np.int64), np.empty(m, np.int64), np.empty(m)
     count = library.btas_read_edges(data, start, len(data), m, *(column.ctypes.data for column in columns))
@@ -244,7 +239,7 @@ def _fast_grid(text: str, start: int, n_rows: int, n_cols: int, finite: bool) ->
             return None
     else:
         data = _ascii_bytes(text)
-        if data is None or n_rows * n_cols > (len(data) - start + 1) // 2:  # an entry takes a digit and a blank
+        if n_rows * n_cols > (len(data) - start + 1) // 2:  # an entry takes a digit and a blank
             return None
         grid = np.empty((n_rows, n_cols))
         if library.btas_read_grid(data, start, len(data), n_rows, n_cols, grid.ctypes.data) != n_rows:
@@ -355,8 +350,7 @@ def _read_edges(body: "list[tuple[int, str]]", n: int, m: int, header_no: int) -
 
 def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> Graph:
     """The Graph of these edge columns.  They must hold vertices in 0..n-1
-    and finite weights, and no one else may hold src and dst, which the
-    Graph may adopt: they are normalized, not checked."""
+    and finite weights: they are normalized, not checked."""
     g = object.__new__(Graph)
     g._normalize(n, src, dst, weight)
     return g

@@ -274,6 +274,7 @@ def test_bench_rejects_bad_flags(capsys):
     assert entrypoint(["bench", "--sizes", "", "--reps", "1"]) == 2
     assert entrypoint(["bench", "--weights", "10"]) == 2
     assert entrypoint(["bench", "--algorithm", "gpu"]) == 2
+    assert entrypoint(["bench", "--workers", ""]) == 2
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

